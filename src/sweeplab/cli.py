@@ -69,7 +69,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="list every Dyck path with its statistics")
     common(p)
     p.add_argument("--format", choices=["text", "csv", "jsonl"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("verify", help="run every identity check exhaustively")
     common(p)
@@ -83,7 +82,6 @@ def _build_parser() -> _Parser:
     common(p, word=True)
     p.add_argument("--style", choices=["grid", "diagram"], default="grid")
     p.add_argument("--highlight", type=int, default=None)
-    p.add_argument("--format", choices=["svg"], default="svg")
 
     p = sub.add_parser("sweep", help="sweep map image of a word")
     common(p, word=True)

@@ -15,6 +15,7 @@ structure check detects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import RowOutOfRange
 from .paths import NORTH, Params, StepWord, start_ranks
@@ -52,14 +53,19 @@ class PathDiagram:
     def width(self) -> int:
         return self.params.step_count
 
+    @cached_property
+    def rows(self) -> dict[int, list[tuple[int, str]]]:
+        """Row -> its (column, color) segments, left to right; only the
+        rows some arrow crosses appear.  Built in one pass over the arrows."""
+        rows: dict[int, list[tuple[int, str]]] = {}
+        for a in self.arrows:
+            for j in a.row_span(self.params):
+                rows.setdefault(j, []).append((a.column, a.color))
+        return rows
+
     def attained_rows(self) -> range:
         """Rows touched by at least one arrow; [0, dmn) for Dyck words."""
-        lows, highs = [], []
-        for a in self.arrows:
-            span = a.row_span(self.params)
-            lows.append(span.start)
-            highs.append(span.stop)
-        return range(min(lows), max(highs))
+        return range(min(self.rows), max(self.rows) + 1)
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,6 @@ def build_diagram(word: StepWord) -> PathDiagram:
     return PathDiagram(word.params, arrows)
 
 
-def _row_segments(diagram: PathDiagram, j: int) -> list[tuple[int, str]]:
-    return [
-        (a.column, a.color)
-        for a in diagram.arrows
-        if j in a.row_span(diagram.params)
-    ]
-
-
 def segments_in_row(diagram: PathDiagram, j: int) -> list[tuple[int, str]]:
     """The (column, color) segments of row j, left to right.
 
@@ -97,7 +95,7 @@ def segments_in_row(diagram: PathDiagram, j: int) -> list[tuple[int, str]]:
     """
     if not 0 <= j < diagram.height:
         raise RowOutOfRange(f"row {j} outside 0..{diagram.height - 1}")
-    return _row_segments(diagram, j)
+    return list(diagram.rows.get(j, ()))
 
 
 def row_counts(diagram: PathDiagram, j: int) -> RowCounts:
@@ -114,17 +112,11 @@ def check_row_structure(diagram: PathDiagram) -> bool:
     0, so segment colors always alternate within a row and the red and
     blue counts agree.  What distinguishes Dyck words is that every
     nonempty row also *starts* red and ends blue; a word that dips below
-    rank 0 produces a row (at a negative level) that starts blue.  Rows
-    are scanned over the attained span, which reaches below row 0 for
-    non-Dyck words.
+    rank 0 produces a row (at a negative level) that starts blue.  Every
+    row some arrow crosses is scanned, down to the rows below row 0 that
+    non-Dyck words reach.
     """
-    for j in diagram.attained_rows():
-        segs = _row_segments(diagram, j)
-        if not segs:
-            continue
-        if len(segs) % 2 != 0:
+    for segs in diagram.rows.values():
+        if [color for _, color in segs] != [RED, BLUE] * (len(segs) // 2):
             return False
-        for i, (_, color) in enumerate(segs):
-            if color != (RED if i % 2 == 0 else BLUE):
-                return False
     return True

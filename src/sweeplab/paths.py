@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BadCounts,
@@ -41,9 +42,12 @@ def step_limit() -> int:
     if raw is None:
         return DEFAULT_STEP_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"SWEEPLAB_LIMIT must be an integer, got {raw!r}") from None
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"SWEEPLAB_LIMIT must be a positive integer, got {raw!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class Params:
 
     def __post_init__(self):
         for name, value in (("m", self.m), ("n", self.n), ("d", self.d)):
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise NonPositive(f"{name} must be a positive integer, got {value!r}")
         if math.gcd(self.m, self.n) != 1:
             raise NonCoprime(f"m={self.m} and n={self.n} share a factor")
@@ -94,14 +98,15 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
 
 @dataclass(frozen=True)
 class StepWord:
-    """An immutable word of North/East steps with its parameters."""
+    """An immutable word of North/East steps with its parameters; its start
+    ranks are computed once, on first use."""
 
     steps: tuple[str, ...]
     params: Params
 
     def __post_init__(self):
         dn, dm = self.params.north_count, self.params.east_count
-        norths = sum(1 for s in self.steps if s == NORTH)
+        norths = self.steps.count(NORTH)
         easts = len(self.steps) - norths
         if norths != dn or easts != dm:
             raise BadCounts(
@@ -121,6 +126,15 @@ class StepWord:
     def letter(self, column: int) -> str:
         """The letter at 1-based position `column`."""
         return self.steps[column - 1]
+
+    @cached_property
+    def _ranks(self) -> tuple[int, ...]:
+        """The starting rank of each step; see start_ranks."""
+        m, n = self.params.m, self.params.n
+        ranks = [0]
+        for ch in self.steps[:-1]:
+            ranks.append(ranks[-1] + (m if ch == NORTH else -n))
+        return tuple(ranks)
 
 
 _ALPHABET = {"N": NORTH, "E": EAST, "S": NORTH, "W": EAST}
@@ -149,25 +163,17 @@ def start_ranks(word: StepWord) -> tuple[int, ...]:
     >>> start_ranks(parse_word("NENEE", make_params(3, 2)))
     (0, 3, 1, 4, 2)
     """
-    m, n = word.params.m, word.params.n
-    ranks = [0]
-    for ch in word.steps[:-1]:
-        ranks.append(ranks[-1] + (m if ch == NORTH else -n))
-    return tuple(ranks)
+    return word._ranks
 
 
 def vertex_ranks(word: StepWord) -> tuple[int, ...]:
     """Ranks of all d(m+n)+1 path vertices; the last one is always 0."""
-    m, n = word.params.m, word.params.n
-    ranks = [0]
-    for ch in word.steps:
-        ranks.append(ranks[-1] + (m if ch == NORTH else -n))
-    return tuple(ranks)
+    return start_ranks(word) + (0,)
 
 
 def is_dyck(word: StepWord) -> bool:
     """True iff every vertex rank along the path is nonnegative."""
-    return min(vertex_ranks(word)) >= 0
+    return min(start_ranks(word)) >= 0
 
 
 def require_dyck(word: StepWord) -> None:

@@ -35,7 +35,7 @@ from .paths import (
     require_dyck,
     start_ranks,
 )
-from .sweeping import image_start_rank, key_precedes, sweep_order
+from .sweeping import key_precedes
 from .stats import area_cells
 
 FIRST_VALID = "first-valid"
@@ -175,6 +175,19 @@ def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
     )
 
 
+def _image_rank(word: StepWord, step: int) -> int:
+    """Image start rank of `step`: b*m - a*n over the b North and a East
+    steps swept before it, in one pass over the sweep keys."""
+    m, n = word.params.m, word.params.n
+    ranks = start_ranks(word)
+    ref = (ranks[step - 1], step)
+    return sum(
+        m if letter == NORTH else -n
+        for c, (letter, r) in enumerate(zip(word.steps, ranks), start=1)
+        if key_precedes((r, c), ref)
+    )
+
+
 def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     """Verify the image-rank drop of the moved North step.
 
@@ -188,11 +201,8 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
 
-    order = sweep_order(word)
-    rank_before = image_start_rank(word, order.index(p) + 1)
-    swapped = apply_move(word, move)
-    order_after = sweep_order(swapped)
-    rank_after = image_start_rank(swapped, order_after.index(p + 1) + 1)
+    rank_before = _image_rank(word, p)
+    rank_after = _image_rank(apply_move(word, move), p + 1)
 
     low, high = (k - n, p + 1), (k, p)
     ups = downs = 0

@@ -7,17 +7,17 @@ slope, so within one level the line meets the rightmost start first.  The
 key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
-`green_line_rank` recomputes a step's image rank purely from segment
-counts of the stretched diagram, relative to the slope-epsilon line
-through the step's start.  It must always agree with `image_start_rank`;
-the two routes are independent and serve as mutual checks.
+`image_start_rank` reads a step's image rank off the swept word.
+`green_line_rank` recomputes it from the geometry of the stretched diagram
+alone: segment counts relative to the slope-epsilon line through the
+step's start.  It never consults the sweep order, so the two routes are
+independent and serve as mutual checks.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import IndexOutOfRange, NotInImage
 from .paths import (
@@ -48,10 +48,9 @@ class GreenLine:
     level is the start rank of the reference step and ref_column its
     1-based position, so the line passes through the point
     (ref_column - 1, level).  The slope is symbolic: a point at integer
-    height h and exact x-coordinate x is strictly above the line iff
-    h > level, or h == level and x < ref_column - 1; strictly below is
-    the mirror condition.  Points on the line (h == level, x == x0) are
-    neither.
+    height h and x-coordinate x is strictly below the line iff h < level,
+    or h == level and x > ref_column - 1.  Points on the line
+    (h == level, x == x0) are not below it.
     """
 
     level: int
@@ -61,10 +60,7 @@ class GreenLine:
     def x0(self) -> int:
         return self.ref_column - 1
 
-    def strictly_above(self, h: int, x: Fraction | int) -> bool:
-        return h > self.level or (h == self.level and x < self.x0)
-
-    def strictly_below(self, h: int, x: Fraction | int) -> bool:
+    def strictly_below(self, h: int, x: int) -> bool:
         return h < self.level or (h == self.level and x > self.x0)
 
     def start_strictly_below(self, rank: int, column: int) -> bool:
@@ -87,27 +83,19 @@ def sweep(word: StepWord) -> StepWord:
     >>> sweep(parse_word("NENEE", make_params(3, 2))).text
     'NNEEE'
     """
-    steps = tuple(word.letter(c) for c in sweep_order(word))
+    steps = tuple(word.steps[c - 1] for c in sweep_order(word))
     return StepWord(steps, word.params)
 
 
 def image_start_rank(word: StepWord, position_in_sweep: int) -> int:
     """Start rank of the image step at the given 1-based sweep position.
 
-    Equals b*m - a*n where b North and a East steps are swept strictly
-    earlier, which is the same as start_ranks(sweep(word)) at that
-    position.
+    This is start_ranks(sweep(word)) at that position: b*m - a*n where b
+    North and a East steps are swept strictly earlier.
     """
     if not 1 <= position_in_sweep <= len(word):
         raise IndexOutOfRange(f"sweep position {position_in_sweep} outside 1..{len(word)}")
-    order = sweep_order(word)
-    b = a = 0
-    for c in order[: position_in_sweep - 1]:
-        if word.letter(c) == NORTH:
-            b += 1
-        else:
-            a += 1
-    return b * word.params.m - a * word.params.n
+    return start_ranks(sweep(word))[position_in_sweep - 1]
 
 
 def green_line_rank(word: StepWord, step: int) -> int:
@@ -126,6 +114,10 @@ def green_line_rank(word: StepWord, step: int) -> int:
     rows below the line: the b*m segments of the early up arrows minus
     the a*n segments of the early down arrows leave exactly A above,
     and the blue deficit below is exactly B.
+
+    "Swept before" is decided by the line alone, never by the sweep
+    order, so a sweep that disagrees with the geometry shows up as a
+    rank mismatch rather than being trusted.
     """
     require_dyck(word)
     if not 1 <= step <= len(word):
@@ -135,16 +127,9 @@ def green_line_rank(word: StepWord, step: int) -> int:
     ranks = start_ranks(word)
     line = GreenLine(level=ranks[step - 1], ref_column=step)
 
-    order = sweep_order(word)
-    ref_position = order.index(step)
-    swept_before = set(order[:ref_position])
-
     above = below = 0
-    for column, letter in enumerate(word.steps, start=1):
-        rank = ranks[column - 1]
+    for column, (letter, rank) in enumerate(zip(word.steps, ranks), start=1):
         starts_below = line.start_strictly_below(rank, column)
-        # The geometric condition and the sweep order must agree.
-        assert starts_below == (column in swept_before), (word.text, step, column)
         if letter == NORTH:
             if starts_below:
                 # rows [rank, rank+m) clipped to rows >= level
@@ -156,15 +141,17 @@ def green_line_rank(word: StepWord, step: int) -> int:
     return above + below
 
 
-_inverse_tables: dict[Params, dict[str, StepWord]] = {}
+_inverse_tables: dict[Params, dict[str, str]] = {}
 _inverse_lock = threading.Lock()
 
 
-def _inverse_table(params: Params, limit: int | None) -> dict[str, StepWord]:
+def _inverse_table(params: Params, limit: int | None) -> dict[str, str]:
+    words = enumerate_dyck(params, limit)  # checks the limit, even on a cache hit
     with _inverse_lock:
         table = _inverse_tables.get(params)
         if table is None:
-            table = {sweep(w).text: w for w in enumerate_dyck(params, limit)}
+            # Text values: a StepWord value would keep its cached ranks alive.
+            table = {sweep(w).text: w.text for w in words}
             _inverse_tables[params] = table
     return table
 
@@ -172,14 +159,16 @@ def _inverse_table(params: Params, limit: int | None) -> dict[str, StepWord]:
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
-    Looked up in a cached table built by enumerating all Dyck paths of
-    the parameters, so the parameters must be within the enumeration
-    limit.  Raises NotInImage if the lookup fails, which cannot happen
-    for a Dyck input unless the library is inconsistent.
+    Looked up in a cached table from image text to preimage text, built
+    by enumerating all Dyck paths of the parameters.  The parameters must
+    be within the enumeration limit, on every call, whether or not the
+    table is already cached; LimitExceeded otherwise.  Raises NotInImage
+    if the lookup fails, which cannot happen for a Dyck input unless the
+    library is inconsistent.
     """
     require_dyck(image)
     table = _inverse_table(image.params, limit)
     try:
-        return table[image.text]
+        return StepWord(tuple(table[image.text]), image.params)
     except KeyError:
         raise NotInImage(f"no sweep preimage recorded for {image.text}") from None

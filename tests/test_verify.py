@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import sweeplab.stats
 import sweeplab.sweeping
-from sweeplab import CHECK_NAMES, make_params, run_checks
+from sweeplab import CHECK_NAMES, make_params, run_checks, start_ranks
 from conftest import PARAM_SETS
 
 
@@ -52,3 +57,39 @@ def test_broken_sweep_breaks_bijectivity(monkeypatch):
     results = {r.name: r for r in run_checks(make_params(3, 2, 1))}
     assert not results["bijectivity"].passed
     assert not results["base-case"].passed
+
+
+def _leftmost_first(word):
+    """A wrong sweep order: rank ties broken leftmost-first."""
+    ranks = start_ranks(word)
+    return tuple(sorted(range(1, len(word) + 1), key=lambda c: (ranks[c - 1], c)))
+
+
+def test_wrong_tie_break_is_recorded(monkeypatch):
+    # the green line decides "swept before" from geometry alone, so a sweep
+    # that breaks ties the wrong way is reported, not asserted away
+    monkeypatch.setattr(sweeplab.sweeping, "sweep_order", _leftmost_first)
+    failed = {r.name for r in run_checks(make_params(3, 2, 2)) if not r.passed}
+    assert {"green-line-rank", "bijectivity"} <= failed
+
+
+def test_wrong_tie_break_is_recorded_under_optimize():
+    here = Path(__file__).parent
+    script = (
+        "import sys, sweeplab.sweeping, test_verify\n"
+        "from sweeplab import make_params, run_checks\n"
+        "sweeplab.sweeping.sweep_order = test_verify._leftmost_first\n"
+        "results = run_checks(make_params(3, 2, 2))\n"
+        "print(sys.flags.optimize, *(r.name for r in results if not r.passed))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    optimize, *failed = proc.stdout.split()
+    assert optimize == "1"
+    assert {"green-line-rank", "bijectivity"} <= set(failed)
