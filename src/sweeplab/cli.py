@@ -18,6 +18,7 @@ both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -72,7 +73,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run every identity check exhaustively")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="forked worker processes for the per-path checks (default 1); "
+        "clamped to the available CPUs and the path count, serial where "
+        "fork is unavailable",
+    )
 
     p = sub.add_parser("table", help="joint (area, dinv) distribution")
     common(p)
@@ -92,12 +100,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The stream to write to: stdout, or the file `out`."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _record(word, image=None):
@@ -136,29 +151,31 @@ def _cmd_stats(args, params) -> int:
 
 
 def _cmd_enumerate(args, params) -> int:
-    lines = []
-    if args.format == "csv":
-        lines.append("word,m,n,d,area,dinv,sweep")
-    for word in paths.enumerate_dyck(params, args.limit):
-        rec = _record(word)
-        if args.format == "jsonl":
-            lines.append(json.dumps(rec))
-        elif args.format == "csv":
-            lines.append(
-                f"{rec['word']},{rec['m']},{rec['n']},{rec['d']},"
-                f"{rec['area']},{rec['dinv']},{rec['sweep']}"
-            )
-        else:
-            lines.append(
-                f"{rec['word']} area={rec['area']} dinv={rec['dinv']} "
-                f"sweep={rec['sweep']}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    # enumerate_dyck checks the limit here, before the output is opened
+    words = paths.enumerate_dyck(params, args.limit)
+    with _output(args.out) as fh:
+        if args.format == "csv":
+            fh.write("word,m,n,d,area,dinv,sweep\n")
+        for word in words:
+            rec = _record(word)
+            if args.format == "jsonl":
+                line = json.dumps(rec)
+            elif args.format == "csv":
+                line = (
+                    f"{rec['word']},{rec['m']},{rec['n']},{rec['d']},"
+                    f"{rec['area']},{rec['dinv']},{rec['sweep']}"
+                )
+            else:
+                line = (
+                    f"{rec['word']} area={rec['area']} dinv={rec['dinv']} "
+                    f"sweep={rec['sweep']}"
+                )
+            fh.write(line + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args, params) -> int:
-    results = verify.run_checks(params, args.limit, jobs=max(1, args.jobs))
+    results = verify.run_checks(params, args.limit, jobs=args.jobs)
     n_paths = paths.count_dyck(params)
     lines = []
     failed = [r for r in results if not r.passed]

@@ -202,24 +202,35 @@ def enumerate_dyck(params: Params, limit: int | None = None):
 
 
 def _enumerate(params: Params):
+    """Iterative backtracking: complete the prefix with its smallest
+    continuation (the remaining North steps, then East steps), then turn
+    the rightmost North step that may become East into East."""
     m, n = params.m, params.n
-    dn, dm = params.north_count, params.east_count
-    prefix: list[str] = []
-
-    def rec(rank: int, norths: int, easts: int):
-        if norths == dn and easts == dm:
-            yield StepWord(tuple(prefix), params)
+    length = params.step_count
+    steps = [NORTH] * length
+    ranks = [0] * length  # ranks[i] is the start rank of steps[i]
+    pos, rank, norths = 0, 0, params.north_count
+    while True:
+        for i in range(pos, length):
+            ranks[i] = rank
+            if norths:
+                steps[i] = NORTH
+                rank += m
+                norths -= 1
+            else:
+                steps[i] = EAST
+                rank -= n
+        yield StepWord(tuple(steps), params)
+        pos = length - 1
+        while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
+            norths += steps[pos] == NORTH
+            pos -= 1
+        if pos < 0:
             return
-        if norths < dn:
-            prefix.append(NORTH)
-            yield from rec(rank + m, norths + 1, easts)
-            prefix.pop()
-        if easts < dm and rank >= n:
-            prefix.append(EAST)
-            yield from rec(rank - n, norths, easts + 1)
-            prefix.pop()
-
-    yield from rec(0, 0, 0)
+        steps[pos] = EAST
+        rank = ranks[pos] - n
+        norths += 1
+        pos += 1
 
 
 def count_dyck(params: Params) -> int:

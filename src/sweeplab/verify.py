@@ -9,11 +9,19 @@ removal-move recursions and their cross-identities, and the base case.
 Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (installed, say, by a test
 monkeypatch) is caught and reported rather than silently trusted.
+
+With jobs > 1 the per-path checks run in forked worker processes, each on
+its own contiguous range of the enumeration.  The `fork` start method is
+required, not merely a default: a forked worker inherits the caller's
+modules as they are, monkeypatches included, where a `spawn` worker would
+re-import and check the unpatched library.  Where `fork` is unavailable
+the checks run serially.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import os
 from dataclasses import dataclass
 
 from . import diagram, paths, recursion, stats
@@ -31,17 +39,23 @@ class CheckResult:
         return not self.failures
 
 
-def _word_failures(params, indexed_words):
-    """Per-path checks; returns {check name: [(word index, message), ...]}."""
-    fails: dict[str, list[tuple[int, str]]] = {name: [] for name in PER_WORD_CHECKS}
+def _word_failures(params, words):
+    """Per-path checks; returns ({check name: [message, ...]}, valid moves
+    checked, steps checked)."""
+    fails: dict[str, list[str]] = {name: [] for name in PER_WORD_CHECKS}
+    move_total = step_total = 0
 
-    def note(check: str, idx: int, message: str) -> None:
-        fails[check].append((idx, message))
+    def note(check: str, message: str) -> None:
+        fails[check].append(message)
 
-    for idx, word in indexed_words:
+    for word in words:
+        # counted before the image check, which skips the rest of the word
+        moves = recursion.valid_moves(word)
+        move_total += len(moves)
+        step_total += len(word)
         image = sweeping.sweep(word)
         if not paths.is_dyck(image):
-            note("image-is-dyck", idx, f"word={word.text} image={image.text}")
+            note("image-is-dyck", f"word={word.text} image={image.text}")
             continue
         area = stats.area_cells(word)
         dinv = stats.dinv_pairs(word)
@@ -50,24 +64,22 @@ def _word_failures(params, indexed_words):
         if dinv != image_area:
             note(
                 "dinv-sweeps-to-area",
-                idx,
                 f"word={word.text} dinv={dinv} image={image.text} area={image_area}",
             )
         area_formula = stats.area_rank_formula(word)
         if area != area_formula:
-            note("area-formula", idx, f"word={word.text} cells={area} formula={area_formula}")
+            note("area-formula", f"word={word.text} cells={area} formula={area_formula}")
         dinv_cells = stats.dinv_cells(word)
         if dinv_cells != dinv:
-            note("dinv-formulations", idx, f"word={word.text} cells={dinv_cells} pairs={dinv}")
+            note("dinv-formulations", f"word={word.text} cells={dinv_cells} pairs={dinv}")
         if not diagram.check_row_structure(diagram.build_diagram(word)):
-            note("row-structure", idx, f"word={word.text}")
+            note("row-structure", f"word={word.text}")
 
         image_ranks = paths.start_ranks(image)
         for step, image_rank in zip(sweeping.sweep_order(word), image_ranks):
             if image_rank < 0:
                 note(
                     "green-line-rank",
-                    idx,
                     f"word={word.text} step={step} negative image rank {image_rank}",
                 )
                 break
@@ -75,14 +87,12 @@ def _word_failures(params, indexed_words):
             if counted != image_rank:
                 note(
                     "green-line-rank",
-                    idx,
                     f"word={word.text} step={step} counted={counted} rank={image_rank}",
                 )
                 break
 
-        moves = recursion.valid_moves(word)
         if area > 0 and not moves:
-            note("move-existence", idx, f"word={word.text} area={area}")
+            note("move-existence", f"word={word.text} area={area}")
         for move in moves:
             swapped = recursion.apply_move(word, move)
             counts = recursion.region_counts(word, move)
@@ -91,7 +101,6 @@ def _word_failures(params, indexed_words):
             if area_delta != direct_area:
                 note(
                     "area-recursion",
-                    idx,
                     f"word={word.text} p={move.position} "
                     f"delta={area_delta} direct={direct_area}",
                 )
@@ -100,18 +109,41 @@ def _word_failures(params, indexed_words):
             if dinv_delta != direct_dinv:
                 note(
                     "dinv-recursion",
-                    idx,
                     f"word={word.text} p={move.position} "
                     f"delta={dinv_delta} direct={direct_dinv}",
                 )
             if not recursion.rank_difference_check(word, move):
-                note("rank-difference", idx, f"word={word.text} p={move.position}")
+                note("rank-difference", f"word={word.text} p={move.position}")
             if (
                 counts.red_top_left != counts.blue_top_left
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
-                note("cross-identities", idx, f"word={word.text} p={move.position}")
-    return fails
+                note("cross-identities", f"word={word.text} p={move.position}")
+    return fails, move_total, step_total
+
+
+def _shard(params, limit, lo, hi):
+    """_word_failures on enumeration indices [lo, hi), enumerated here so
+    that no word crosses a process boundary."""
+    return _word_failures(
+        params, itertools.islice(paths.enumerate_dyck(params, limit), lo, hi)
+    )
+
+
+def _worker_count(jobs: int, path_count: int) -> int:
+    """jobs clamped to the CPUs this process may use and to the path count;
+    1 where the fork start method is unavailable."""
+    if min(jobs, path_count) <= 1:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(jobs, cpus, path_count)
 
 
 PER_WORD_CHECKS = (
@@ -181,29 +213,37 @@ def _base_case_failures(params, words) -> list[str]:
 def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run all checks; the result order matches CHECK_NAMES.
 
-    With jobs > 1 the per-path work is split over worker threads by a
-    deterministic round-robin partition and the failures are merged back
-    in enumeration order, so the outcome never depends on scheduling.
+    With jobs > 1 the per-path checks are split into contiguous index
+    ranges of the enumeration, one per forked worker process, and each
+    worker returns only its failures and check counts; the parent merges
+    them in index order, so the outcome never depends on scheduling.  The
+    number of workers is jobs clamped to the available CPUs and to the
+    path count; with one worker, or without `fork`, the checks run in this
+    process.  Bijectivity and the base case always run in this process.
+    A fork copies only the calling thread, so pass jobs > 1 only from a
+    process that runs no other threads.
     """
     words = list(paths.enumerate_dyck(params, limit))
-    indexed = list(enumerate(words))
+    workers = _worker_count(jobs, len(words))
 
-    if jobs > 1:
-        chunks = [indexed[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(lambda c: _word_failures(params, c), chunks))
-        per_word = {
-            name: sorted(
-                (item for part in partials for item in part[name]),
-                key=lambda pair: pair[0],
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        bounds = [len(words) * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            partials = list(
+                pool.map(
+                    _shard, [params] * workers, [limit] * workers, bounds[:-1], bounds[1:]
+                )
             )
-            for name in PER_WORD_CHECKS
-        }
     else:
-        per_word = _word_failures(params, indexed)
+        partials = [_word_failures(params, words)]
 
-    move_total = sum(len(recursion.valid_moves(w)) for w in words)
-    step_total = sum(len(w) for w in words)
+    move_total = sum(moves for _, moves, _ in partials)
+    step_total = sum(steps for _, _, steps in partials)
     checked = {
         "image-is-dyck": len(words),
         "bijectivity": len(words),
@@ -227,6 +267,7 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
         elif name == "base-case":
             fails = _base_case_failures(params, words)
         else:
-            fails = [message for _, message in per_word[name]]
+            # shards are contiguous, so concatenation keeps enumeration order
+            fails = [message for part, _, _ in partials for message in part[name]]
         results.append(CheckResult(name, checked[name], tuple(fails)))
     return results

@@ -105,8 +105,13 @@ class TestEnumerateCommand:
     def test_limit_exits_3(self):
         assert main(["enumerate", "--m", "23", "--n", "21", "--d", "1"]) == 3
 
-    def test_explicit_limit_flag(self):
-        assert main(["enumerate", "--m", "3", "--n", "2", "--d", "1", "--limit", "4"]) == 3
+    def test_explicit_limit_flag(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(
+            ["enumerate", "--m", "3", "--n", "2", "--d", "1", "--limit", "4", "--out", str(out)]
+        ) == 3
+        # the limit is checked before the output file is opened
+        assert not out.exists()
 
     def test_env_limit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SWEEPLAB_LIMIT", "4")
@@ -139,6 +144,22 @@ class TestVerifyCommand:
             assert run_cli(
                 tmp_path, "verify", "--m", "7", "--n", "5", "--d", "1", "--jobs", jobs
             ) == baseline
+
+    def test_jobs_run_clean_under_warnings_as_errors(self):
+        # pool teardown and fork must raise no ResourceWarning or
+        # DeprecationWarning, and must not change stdout
+        def verify(jobs):
+            return subprocess.run(
+                [sys.executable, "-W", "error", "-m", "sweeplab", "verify",
+                 "--m", "7", "--n", "5", "--jobs", jobs],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+
+        serial, parallel = verify("1"), verify("2")
+        assert (parallel.returncode, parallel.stderr) == (0, "")
+        assert parallel.stdout == serial.stdout
 
     def test_broken_dinv_is_caught(self, tmp_path, monkeypatch):
         # mutation test: a statistic that lies must surface as a named

@@ -125,6 +125,11 @@ class TestEnumerate:
             assert len(set(words)) == len(words)
             assert all(is_dyck(w) for w in words)
 
+    def test_long_paths_do_not_recurse(self):
+        # 1200 steps: one stack frame per step would pass the recursion limit
+        first = next(enumerate_dyck(make_params(1, 1, 600), limit=2000))
+        assert first == corner_path(make_params(1, 1, 600))
+
     def test_limit(self):
         with pytest.raises(LimitExceeded):
             list(enumerate_dyck(make_params(23, 21, 1)))

@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import pytest
 
 import sweeplab.stats
 import sweeplab.sweeping
-from sweeplab import CHECK_NAMES, make_params, run_checks, start_ranks
+from sweeplab import CHECK_NAMES, make_params, parse_word, run_checks, start_ranks
 from conftest import PARAM_SETS
 
 
@@ -24,17 +26,82 @@ def test_all_checks_pass(m, n, d):
         assert result.checked > 0
 
 
-def test_jobs_give_identical_results():
-    baseline = run_checks(make_params(7, 5, 1))
-    for jobs in (2, 5):
-        assert run_checks(make_params(7, 5, 1), jobs=jobs) == baseline
+def test_jobs_give_identical_results(monkeypatch):
+    true_dinv = sweeplab.stats.dinv_pairs
+    for broken in (False, True):
+        if broken:
+            # forked workers inherit the patch, so the failure messages
+            # match the serial run one for one
+            monkeypatch.setattr(
+                sweeplab.stats, "dinv_pairs", lambda word: true_dinv(word) + 1
+            )
+        for m, n, d in [(7, 5, 1), (5, 3, 2)]:
+            baseline = run_checks(make_params(m, n, d))
+            assert all(r.passed for r in baseline) != broken
+            for jobs in (2, 5):
+                assert run_checks(make_params(m, n, d), jobs=jobs) == baseline
 
 
-def test_checked_volumes(p321):
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_jobs_are_clamped(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        """Records the pool it was asked for and runs it in this process."""
+
+        def __init__(self, max_workers, mp_context):
+            requested.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # plenty of CPUs, so the path count is the binding clamp
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    baseline = run_checks(make_params(3, 2, 1))
+    assert run_checks(make_params(3, 2, 1), jobs=10**6) == baseline
+    assert requested == [(2, "fork")]  # one worker per path
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert run_checks(make_params(3, 2, 1), jobs=10**6) == baseline
+    assert len(requested) == 1  # no fork, no pool
+
+
+def test_import_does_not_load_multiprocessing():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sweeplab, sweeplab.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_checked_volumes(p321, monkeypatch):
     by_name = {r.name: r.checked for r in run_checks(p321)}
     assert by_name["dinv-sweeps-to-area"] == 2  # paths
     assert by_name["green-line-rank"] == 10  # steps
     assert by_name["area-recursion"] == 1  # valid moves
+
+    # a word whose image is not Dyck skips its other checks, but its moves
+    # and steps still count
+    not_dyck = parse_word("ENNEE", p321)
+    monkeypatch.setattr(sweeplab.sweeping, "sweep", lambda word: not_dyck)
+    results = {r.name: r for r in run_checks(p321)}
+    assert len(results["image-is-dyck"].failures) == 2
+    for name in ("rank-difference", "area-recursion", "dinv-recursion",
+                 "cross-identities", "green-line-rank"):
+        assert results[name].checked == by_name[name]
 
 
 def test_broken_green_line_is_caught(monkeypatch):
