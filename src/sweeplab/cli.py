@@ -176,7 +176,7 @@ def _cmd_enumerate(args, params) -> int:
 
 def _cmd_verify(args, params) -> int:
     results = verify.run_checks(params, args.limit, jobs=args.jobs)
-    n_paths = paths.count_dyck(params)
+    n_paths = next(r.checked for r in results if r.name == "dinv-sweeps-to-area")
     lines = []
     failed = [r for r in results if not r.passed]
     for result in failed:

@@ -24,6 +24,7 @@ pattern, which is how the main identity reduces to the area-0 base case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InvalidMove, NoMoveAvailable
@@ -35,7 +36,7 @@ from .paths import (
     require_dyck,
     start_ranks,
 )
-from .sweeping import key_precedes
+from .sweeping import sweep_key, sweep_keys
 from .stats import area_cells
 
 FIRST_VALID = "first-valid"
@@ -105,6 +106,7 @@ def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
     return StepWord(tuple(steps), word.params)
 
 
+@functools.lru_cache(maxsize=1)
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     """Count band segments of all arrows except the two being moved.
 
@@ -113,6 +115,9 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     gives the half-open rank intervals below.  The boundary inclusions
     encode the slope-epsilon sweep lines through the display vertices, so
     they are exactly right for tied ranks (d > 1) as well.
+
+    The last result is kept: `verify` asks for the counts of one
+    (word, move) three times in a row, directly and through both deltas.
     """
     _check_move(word, move)
     m, n = word.params.m, word.params.n
@@ -175,16 +180,15 @@ def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
     )
 
 
-def _image_rank(word: StepWord, step: int) -> int:
+def _image_rank(word: StepWord, keys: tuple[tuple[int, int], ...], step: int) -> int:
     """Image start rank of `step`: b*m - a*n over the b North and a East
-    steps swept before it, in one pass over the sweep keys."""
+    steps swept before it, in one pass over the word's sweep keys."""
     m, n = word.params.m, word.params.n
-    ranks = start_ranks(word)
-    ref = (ranks[step - 1], step)
+    ref = keys[step - 1]
     return sum(
         m if letter == NORTH else -n
-        for c, (letter, r) in enumerate(zip(word.steps, ranks), start=1)
-        if key_precedes((r, c), ref)
+        for letter, key in zip(word.steps, keys)
+        if key < ref
     )
 
 
@@ -201,17 +205,15 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
 
-    rank_before = _image_rank(word, p)
-    rank_after = _image_rank(apply_move(word, move), p + 1)
+    keys = sweep_keys(word)
+    swapped = apply_move(word, move)
+    rank_before = _image_rank(word, keys, p)
+    rank_after = _image_rank(swapped, sweep_keys(swapped), p + 1)
 
-    low, high = (k - n, p + 1), (k, p)
+    low, high = sweep_key(k - n, p + 1), sweep_key(k, p)
     ups = downs = 0
-    ranks = start_ranks(word)
-    for c, letter in enumerate(word.steps, start=1):
-        if c in (p, p + 1):
-            continue
-        key = (ranks[c - 1], c)
-        if key_precedes(low, key) and key_precedes(key, high):
+    for c, (letter, key) in enumerate(zip(word.steps, keys), start=1):
+        if low < key < high and c != p and c != p + 1:
             if letter == NORTH:
                 ups += 1
             else:

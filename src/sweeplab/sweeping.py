@@ -16,7 +16,7 @@ independent and serve as mutual checks.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotInImage
@@ -39,6 +39,17 @@ def sweep_key(rank: int, column: int) -> tuple[int, int]:
 def key_precedes(a: tuple[int, int], b: tuple[int, int]) -> bool:
     """True iff the step with (rank, column) `a` is swept before `b`."""
     return sweep_key(*a) < sweep_key(*b)
+
+
+def sweep_keys(word: StepWord) -> tuple[tuple[int, int], ...]:
+    """sweep_key(rank, column) of every step, in column order, so step a is
+    swept before step b iff keys[a - 1] < keys[b - 1].
+
+    Built in one pass without a call per step, since every sweep and every
+    rank-difference check needs all of them; the tests pin each entry to
+    sweep_key.
+    """
+    return tuple(zip(start_ranks(word), range(-1, -len(word) - 1, -1)))
 
 
 @dataclass(frozen=True)
@@ -68,12 +79,33 @@ class GreenLine:
         below the line; equivalent to being swept before the reference."""
         return self.strictly_below(rank, column - 1)
 
+    def segment_count(self, word: StepWord) -> int:
+        """A + B over the word's arrows (see green_line_rank).
+
+        The strictly_below test is inlined here, the hot loop of `verify`;
+        a test pins this count to one that calls start_strictly_below for
+        every arrow.  A start strictly below the line has rank <= level,
+        and any other start has rank >= level, which fixes the clipping.
+        """
+        level, x0 = self.level, self.x0
+        up_floor = level - word.params.m
+        down_ceiling = level + word.params.n
+        total = 0
+        for x, (letter, h) in enumerate(zip(word.steps, start_ranks(word))):
+            if h < level or (h == level and x > x0):
+                # rows [h, h+m) clipped to rows >= level
+                if h > up_floor and letter == NORTH:
+                    total += h - up_floor
+            # rows [h-n, h) clipped to rows <= level-1
+            elif h < down_ceiling and letter != NORTH:
+                total += down_ceiling - h
+        return total
+
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
     """Step positions (1-based) sorted into sweep order."""
-    ranks = start_ranks(word)
-    order = sorted(range(1, len(word) + 1), key=lambda c: sweep_key(ranks[c - 1], c))
-    return tuple(order)
+    by_column = ((),) + sweep_keys(word)  # index 0 unused: columns are 1-based
+    return tuple(sorted(range(1, len(by_column)), key=by_column.__getitem__))
 
 
 def sweep(word: StepWord) -> StepWord:
@@ -122,52 +154,36 @@ def green_line_rank(word: StepWord, step: int) -> int:
     require_dyck(word)
     if not 1 <= step <= len(word):
         raise IndexOutOfRange(f"step {step} outside 1..{len(word)}")
-    params = word.params
-    m, n = params.m, params.n
-    ranks = start_ranks(word)
-    line = GreenLine(level=ranks[step - 1], ref_column=step)
-
-    above = below = 0
-    for column, (letter, rank) in enumerate(zip(word.steps, ranks), start=1):
-        starts_below = line.start_strictly_below(rank, column)
-        if letter == NORTH:
-            if starts_below:
-                # rows [rank, rank+m) clipped to rows >= level
-                above += max(0, rank + m - max(line.level, rank))
-        else:
-            if not starts_below:
-                # rows [rank-n, rank) clipped to rows <= level-1
-                below += max(0, min(rank, line.level) - (rank - n))
-    return above + below
+    line = GreenLine(level=start_ranks(word)[step - 1], ref_column=step)
+    return line.segment_count(word)
 
 
-_inverse_tables: dict[Params, dict[str, str]] = {}
-_inverse_lock = threading.Lock()
+#: How many parameter sets keep an unsweep table; the least recently used
+#: table is dropped first.
+INVERSE_TABLES_KEPT = 4
 
 
-def _inverse_table(params: Params, limit: int | None) -> dict[str, str]:
-    words = enumerate_dyck(params, limit)  # checks the limit, even on a cache hit
-    with _inverse_lock:
-        table = _inverse_tables.get(params)
-        if table is None:
-            # Text values: a StepWord value would keep its cached ranks alive.
-            table = {sweep(w).text: w.text for w in words}
-            _inverse_tables[params] = table
-    return table
+@functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
+def _inverse_table(params: Params) -> dict[str, str]:
+    # Text values: a StepWord value would keep its cached ranks alive.
+    words = enumerate_dyck(params, params.step_count)
+    return {sweep(w).text: w.text for w in words}
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
-    Looked up in a cached table from image text to preimage text, built
-    by enumerating all Dyck paths of the parameters.  The parameters must
+    Looked up in a table from image text to preimage text, built by
+    enumerating all Dyck paths of the parameters; the tables of the last
+    INVERSE_TABLES_KEPT parameter sets used are cached.  The parameters must
     be within the enumeration limit, on every call, whether or not the
     table is already cached; LimitExceeded otherwise.  Raises NotInImage
     if the lookup fails, which cannot happen for a Dyck input unless the
     library is inconsistent.
     """
     require_dyck(image)
-    table = _inverse_table(image.params, limit)
+    enumerate_dyck(image.params, limit)  # checks the limit, even on a cache hit
+    table = _inverse_table(image.params)
     try:
         return StepWord(tuple(table[image.text]), image.params)
     except KeyError:

@@ -10,6 +10,11 @@ Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (installed, say, by a test
 monkeypatch) is caught and reported rather than silently trusted.
 
+Each path's dinv and image area are computed once per run (once per
+worker with jobs > 1), also when the path is reached as the swapped word
+of another path's removal move: the recursion checks and the path's own
+checks read them from a table keyed by word text.
+
 With jobs > 1 the per-path checks run in forked worker processes, each on
 its own contiguous range of the enumeration.  The `fork` start method is
 required, not merely a default: a forked worker inherits the caller's
@@ -44,9 +49,21 @@ def _word_failures(params, words):
     checked, steps checked)."""
     fails: dict[str, list[str]] = {name: [] for name in PER_WORD_CHECKS}
     move_total = step_total = 0
+    # word text -> (dinv, image area) of swapped words not yet checked as
+    # paths.  A swap turns NE into EN, so the swapped word comes later in
+    # the N<E enumeration: its entry is taken when that path is reached.
+    direct: dict[str, tuple[int, int]] = {}
 
     def note(check: str, message: str) -> None:
         fails[check].append(message)
+
+    def direct_stats(swapped):
+        known = direct.get(swapped.text)
+        if known is None:
+            # raises NotDyck when the swapped word's image is not Dyck
+            image_area = stats.area_cells(sweeping.sweep(swapped))
+            known = direct[swapped.text] = (stats.dinv_pairs(swapped), image_area)
+        return known
 
     for word in words:
         # counted before the image check, which skips the rest of the word
@@ -54,12 +71,15 @@ def _word_failures(params, words):
         move_total += len(moves)
         step_total += len(word)
         image = sweeping.sweep(word)
+        known = direct.pop(word.text, None)
         if not paths.is_dyck(image):
             note("image-is-dyck", f"word={word.text} image={image.text}")
             continue
         area = stats.area_cells(word)
-        dinv = stats.dinv_pairs(word)
-        image_area = stats.area_cells(image)
+        if known is None:
+            dinv, image_area = stats.dinv_pairs(word), stats.area_cells(image)
+        else:
+            dinv, image_area = known
 
         if dinv != image_area:
             note(
@@ -95,8 +115,9 @@ def _word_failures(params, words):
             note("move-existence", f"word={word.text} area={area}")
         for move in moves:
             swapped = recursion.apply_move(word, move)
+            swapped_dinv, swapped_image_area = direct_stats(swapped)
             counts = recursion.region_counts(word, move)
-            direct_area = image_area - stats.area_cells(sweeping.sweep(swapped))
+            direct_area = image_area - swapped_image_area
             area_delta = recursion.area_recursion_delta(word, move)
             if area_delta != direct_area:
                 note(
@@ -104,7 +125,7 @@ def _word_failures(params, words):
                     f"word={word.text} p={move.position} "
                     f"delta={area_delta} direct={direct_area}",
                 )
-            direct_dinv = dinv - stats.dinv_pairs(swapped)
+            direct_dinv = dinv - swapped_dinv
             dinv_delta = recursion.dinv_recursion_delta(word, move)
             if dinv_delta != direct_dinv:
                 note(

@@ -17,7 +17,8 @@ from sweeplab import (
     sweep_order,
     unsweep,
 )
-from sweeplab.sweeping import key_precedes, sweep_key
+import sweeplab.sweeping
+from sweeplab.sweeping import key_precedes, sweep_key, sweep_keys
 from conftest import PARAM_SETS, all_dyck
 
 
@@ -36,6 +37,10 @@ class TestSweepOrder:
                 keys = [sweep_key(ranks[c - 1], c) for c in sweep_order(word)]
                 assert keys == sorted(keys)
                 assert all(a < b for a, b in zip(keys, keys[1:]))
+                columns = range(1, len(word) + 1)
+                assert sweep_keys(word) == tuple(
+                    sweep_key(ranks[c - 1], c) for c in columns
+                )
 
     def test_no_ties_when_coprime(self):
         for (m, n, d) in PARAM_SETS:
@@ -113,6 +118,24 @@ class TestImageStartRank:
             image_start_rank(parse_word("NENEE", p321), 0)
 
 
+def _green_line_count(word, step):
+    """The A + B count of green_line_rank in plain loop form: one
+    start_strictly_below call per arrow, and clipping that assumes nothing
+    about which side of the line an arrow starts on."""
+    m, n = word.params.m, word.params.n
+    ranks = start_ranks(word)
+    line = GreenLine(level=ranks[step - 1], ref_column=step)
+    above = below = 0
+    for column, (letter, rank) in enumerate(zip(word.steps, ranks), start=1):
+        starts_below = line.start_strictly_below(rank, column)
+        if letter == "N":
+            if starts_below:
+                above += max(0, rank + m - max(line.level, rank))
+        elif not starts_below:
+            below += max(0, min(rank, line.level) - (rank - n))
+    return above + below
+
+
 class TestGreenLine:
     def test_point_classification(self):
         line = GreenLine(level=1, ref_column=3)
@@ -141,6 +164,13 @@ class TestGreenLine:
                     assert green_line_rank(word, step) == image_start_rank(
                         word, position
                     )
+
+    def test_equals_the_per_arrow_count(self):
+        # includes the d > 1 sets, where a start can tie the line's level
+        for (m, n, d) in PARAM_SETS:
+            for word in all_dyck(m, n, d):
+                for step in range(1, len(word) + 1):
+                    assert green_line_rank(word, step) == _green_line_count(word, step)
 
     def test_requires_dyck(self, p321):
         with pytest.raises(NotDyck):
@@ -180,3 +210,17 @@ class TestUnsweep:
         # the table for (3,2,1) is cached now; the cap must still hold
         with pytest.raises(LimitExceeded):
             unsweep(word, limit=2)
+
+    def test_cache_is_bounded(self):
+        kept = sweeplab.sweeping.INVERSE_TABLES_KEPT
+        tables = sweeplab.sweeping._inverse_table
+        for (m, n, d) in PARAM_SETS[: kept + 2]:
+            params = make_params(m, n, d)
+            assert unsweep(corner_path(params)) == base_path(params)
+        assert tables.cache_info().currsize <= kept
+        # the least recently used set was dropped, the latest one is kept
+        misses = tables.cache_info().misses
+        unsweep(corner_path(make_params(*PARAM_SETS[kept + 1])))
+        assert tables.cache_info().misses == misses
+        unsweep(corner_path(make_params(*PARAM_SETS[0])))
+        assert tables.cache_info().misses == misses + 1

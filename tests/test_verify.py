@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -7,10 +8,20 @@ from pathlib import Path
 
 import pytest
 
+import sweeplab.recursion
 import sweeplab.stats
 import sweeplab.sweeping
-from sweeplab import CHECK_NAMES, make_params, parse_word, run_checks, start_ranks
-from conftest import PARAM_SETS
+from sweeplab import (
+    CHECK_NAMES,
+    apply_move,
+    dinv_recursion_delta,
+    make_params,
+    parse_word,
+    run_checks,
+    start_ranks,
+    valid_moves,
+)
+from conftest import PARAM_SETS, all_dyck
 
 
 def test_thirteen_named_checks():
@@ -102,6 +113,85 @@ def test_checked_volumes(p321, monkeypatch):
     for name in ("rank-difference", "area-recursion", "dinv-recursion",
                  "cross-identities", "green-line-rank"):
         assert results[name].checked == by_name[name]
+
+
+@pytest.mark.parametrize(
+    "m,n,d,path_count,move_count",
+    [(11, 7, 1, 1768, 6240), (5, 3, 2, 525, 1582), (3, 2, 3, 377, 1091)],
+)
+def test_checked_volumes_of_the_benchmark_sets(m, n, d, path_count, move_count):
+    per_path = ("image-is-dyck", "bijectivity", "area-formula", "dinv-formulations",
+                "row-structure", "move-existence", "dinv-sweeps-to-area")
+    per_move = ("rank-difference", "area-recursion", "dinv-recursion", "cross-identities")
+    expected = {name: path_count for name in per_path}
+    expected.update((name, move_count) for name in per_move)
+    expected["green-line-rank"] = d * (m + n) * path_count
+    expected["base-case"] = 1
+    for jobs in (1, 2):
+        results = run_checks(make_params(m, n, d), jobs=jobs)
+        assert all(r.passed for r in results)
+        assert {r.name: r.checked for r in results} == expected
+
+
+def test_broken_region_counts_are_caught(monkeypatch):
+    true_counts = sweeplab.recursion.region_counts
+
+    def shifted(word, move):
+        counts = true_counts(word, move)
+        return dataclasses.replace(counts, red_top_left=counts.red_top_left + 1)
+
+    # the deltas must see the patch through the region_counts memo
+    monkeypatch.setattr(sweeplab.recursion, "region_counts", shifted)
+    params = make_params(5, 3, 2)
+    results = run_checks(params)
+    by_name = {r.name: r for r in results}
+    for name in ("area-recursion", "cross-identities"):
+        assert len(by_name[name].failures) == by_name[name].checked > 0
+    assert all(r.passed for name, r in by_name.items()
+               if name not in ("area-recursion", "cross-identities"))
+    assert run_checks(params, jobs=2) == results
+
+
+def test_broken_dinv_is_caught_on_swapped_words(monkeypatch):
+    true_dinv = sweeplab.stats.dinv_pairs
+
+    def shift(word):
+        return int(word.text.startswith("NE"))
+
+    monkeypatch.setattr(
+        sweeplab.stats, "dinv_pairs", lambda word: true_dinv(word) + shift(word)
+    )
+    # dinv-recursion fails exactly where the word and its swapped word
+    # disagree on the prefix, so each swapped word's dinv must come from
+    # the patched function, computed or looked up
+    expected = []
+    for word in all_dyck(7, 5, 1):
+        for move in valid_moves(word):
+            gap = shift(word) - shift(apply_move(word, move))
+            if gap:
+                delta = dinv_recursion_delta(word, move)
+                expected.append(
+                    f"word={word.text} p={move.position} delta={delta} direct={delta + gap}"
+                )
+    assert expected
+    results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
+    assert list(results["dinv-recursion"].failures) == expected
+
+
+def test_region_counts_memo_keeps_pairs_apart():
+    region_counts = sweeplab.recursion.region_counts
+    pairs = [(w, move) for w in all_dyck(7, 5, 1) for move in valid_moves(w)]
+    fresh = {}
+    for word, move in pairs:
+        region_counts.cache_clear()
+        fresh[word, move] = region_counts(word, move)
+    assert len(set(fresh.values())) > 1
+    # consecutive calls share the word in enumeration order, and share the
+    # move once sorted by move
+    by_move = sorted(pairs, key=lambda pair: (pair[1].position, pair[1].level))
+    for order in (pairs, by_move):
+        for word, move in order:
+            assert region_counts(word, move) == fresh[word, move]
 
 
 def test_broken_green_line_is_caught(monkeypatch):
