@@ -12,7 +12,7 @@
 Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  The environment variable
 SWEEPLAB_LIMIT overrides the default enumeration cap; --limit overrides
-both.
+both.  Either must be a positive integer; anything else exits 4.
 """
 
 from __future__ import annotations

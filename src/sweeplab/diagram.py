@@ -36,9 +36,6 @@ class Arrow:
             return range(self.start_rank, self.start_rank + params.m)
         return range(self.start_rank - params.n, self.start_rank)
 
-    def end_rank(self, params: Params) -> int:
-        return self.start_rank + (params.m if self.color == RED else -params.n)
-
 
 @dataclass(frozen=True)
 class PathDiagram:

@@ -191,12 +191,15 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     then the remaining East steps), so the search has no dead ends.
 
     Raises LimitExceeded when d(m+n) exceeds `limit` (default: the value
-    of step_limit()).
+    of step_limit()), and ValueError when `limit` is not positive.
     """
-    cap = step_limit() if limit is None else limit
-    if params.step_count > cap:
+    if limit is None:
+        limit = step_limit()
+    elif limit < 1:
+        raise ValueError(f"limit must be a positive integer, got {limit!r}")
+    if params.step_count > limit:
         raise LimitExceeded(
-            f"{params.step_count} steps exceed the enumeration limit {cap}"
+            f"{params.step_count} steps exceed the enumeration limit {limit}"
         )
     return _enumerate(params)
 

@@ -36,11 +36,6 @@ def sweep_key(rank: int, column: int) -> tuple[int, int]:
     return (rank, -column)
 
 
-def key_precedes(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True iff the step with (rank, column) `a` is swept before `b`."""
-    return sweep_key(*a) < sweep_key(*b)
-
-
 def sweep_keys(word: StepWord) -> tuple[tuple[int, int], ...]:
     """sweep_key(rank, column) of every step, in column order, so step a is
     swept before step b iff keys[a - 1] < keys[b - 1].

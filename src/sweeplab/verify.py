@@ -1,26 +1,31 @@
 """Exhaustive verification of every library identity over one parameter set.
 
-Each check scans the full Dyck enumeration (or every valid removal move of
-every path) and records counterexamples.  The headline check is that dinv
-of a path equals the area of its sweep image; the others cover the diagram
-row structure, both statistic formulations, the green-line rank rule, the
-removal-move recursions and their cross-identities, and the base case.
+The checks cover every path of the Dyck enumeration (or every valid
+removal move of every path) and record counterexamples.  The headline
+check is that dinv of a path equals the area of its sweep image; the
+others cover the bijectivity of the sweep, the diagram row structure,
+both statistic formulations, the green-line rank rule, the removal-move
+recursions and their cross-identities, and the base case.
 
 Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (installed, say, by a test
 monkeypatch) is caught and reported rather than silently trusted.
 
-Each path's dinv and image area are computed once per run (once per
-worker with jobs > 1), also when the path is reached as the swapped word
-of another path's removal move: the recursion checks and the path's own
-checks read them from a table keyed by word text.
+All checks read one streaming pass over the enumeration, in which each
+path is swept and its area counted once; bijectivity and the base case
+read the (word, image) texts and the area-0 paths that the pass returns,
+and no list of the paths is held.  Each path's dinv and image area are
+also computed once per run (once per worker with jobs > 1), also when the
+path is reached as the swapped word of another path's removal move: the
+recursion checks and the path's own checks read them from a table keyed
+by word text.
 
-With jobs > 1 the per-path checks run in forked worker processes, each on
-its own contiguous range of the enumeration.  The `fork` start method is
+With jobs > 1 the pass runs in forked worker processes, each on its own
+contiguous range of the enumeration.  The `fork` start method is
 required, not merely a default: a forked worker inherits the caller's
 modules as they are, monkeypatches included, where a `spawn` worker would
 re-import and check the unpatched library.  Where `fork` is unavailable
-the checks run serially.
+the pass runs serially.
 """
 
 from __future__ import annotations
@@ -44,11 +49,19 @@ class CheckResult:
         return not self.failures
 
 
-def _word_failures(params, words):
-    """Per-path checks; returns ({check name: [message, ...]}, valid moves
-    checked, steps checked)."""
-    fails: dict[str, list[str]] = {name: [] for name in PER_WORD_CHECKS}
-    move_total = step_total = 0
+def _word_failures(params, limit, lo, hi):
+    """The per-path checks on enumeration indices [lo, hi), or [lo, end)
+    when hi is None; the paths are enumerated here, so that no word
+    crosses a process boundary.
+
+    Returns ({check name: [message, ...]}, (paths, steps, valid moves)
+    checked, [(word text, image text), ...] in enumeration order, [text of
+    each area-0 path]).
+    """
+    fails: dict[str, list[str]] = {name: [] for name in CHECK_NAMES}
+    path_total = move_total = step_total = 0
+    pairs: list[tuple[str, str]] = []
+    zero_area: list[str] = []
     # word text -> (dinv, image area) of swapped words not yet checked as
     # paths.  A swap turns NE into EN, so the swapped word comes later in
     # the N<E enumeration: its entry is taken when that path is reached.
@@ -65,17 +78,22 @@ def _word_failures(params, words):
             known = direct[swapped.text] = (stats.dinv_pairs(swapped), image_area)
         return known
 
-    for word in words:
-        # counted before the image check, which skips the rest of the word
+    for word in itertools.islice(paths.enumerate_dyck(params, limit), lo, hi):
+        # counted and recorded before the image check, which skips the rest
+        # of the word
         moves = recursion.valid_moves(word)
+        path_total += 1
         move_total += len(moves)
         step_total += len(word)
         image = sweeping.sweep(word)
+        pairs.append((word.text, image.text))
+        area = stats.area_cells(word)
+        if area == 0:
+            zero_area.append(word.text)
         known = direct.pop(word.text, None)
         if not paths.is_dyck(image):
             note("image-is-dyck", f"word={word.text} image={image.text}")
             continue
-        area = stats.area_cells(word)
         if known is None:
             dinv, image_area = stats.dinv_pairs(word), stats.area_cells(image)
         else:
@@ -140,15 +158,7 @@ def _word_failures(params, words):
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
                 note("cross-identities", f"word={word.text} p={move.position}")
-    return fails, move_total, step_total
-
-
-def _shard(params, limit, lo, hi):
-    """_word_failures on enumeration indices [lo, hi), enumerated here so
-    that no word crosses a process boundary."""
-    return _word_failures(
-        params, itertools.islice(paths.enumerate_dyck(params, limit), lo, hi)
-    )
+    return fails, (path_total, step_total, move_total), pairs, zero_area
 
 
 def _worker_count(jobs: int, path_count: int) -> int:
@@ -167,20 +177,6 @@ def _worker_count(jobs: int, path_count: int) -> int:
     return min(jobs, cpus, path_count)
 
 
-PER_WORD_CHECKS = (
-    "image-is-dyck",
-    "area-formula",
-    "dinv-formulations",
-    "green-line-rank",
-    "row-structure",
-    "rank-difference",
-    "area-recursion",
-    "dinv-recursion",
-    "cross-identities",
-    "move-existence",
-    "dinv-sweeps-to-area",
-)
-
 CHECK_NAMES = (
     "image-is-dyck",
     "bijectivity",
@@ -198,28 +194,29 @@ CHECK_NAMES = (
 )
 
 
-def _bijectivity_failures(words) -> list[str]:
+def _bijectivity_failures(pairs) -> list[str]:
+    """pairs: (word text, image text) of every path, in enumeration order."""
     images: dict[str, str] = {}
+    domain = set()
     fails = []
-    for word in words:
-        image = sweeping.sweep(word)
-        if image.text in images:
-            fails.append(f"words {images[image.text]} and {word.text} both map to {image.text}")
-        images[image.text] = word.text
-    domain = {w.text for w in words}
-    missing = sorted(domain - set(images))
-    extra = sorted(set(images) - domain)
+    for word, image in pairs:
+        if image in images:
+            fails.append(f"words {images[image]} and {word} both map to {image}")
+        images[image] = word
+        domain.add(word)
+    missing = sorted(domain - images.keys())
+    extra = sorted(images.keys() - domain)
     fails.extend(f"word {t} is not a sweep image" for t in missing)
     fails.extend(f"image {t} is not a Dyck word of the set" for t in extra)
     return fails
 
 
-def _base_case_failures(params, words) -> list[str]:
+def _base_case_failures(params, zero_area) -> list[str]:
+    """zero_area: the text of every area-0 path, in enumeration order."""
     fails = []
     base = paths.base_path(params)
     corner = paths.corner_path(params)
     top = stats.max_stat(params)
-    zero_area = [w.text for w in words if stats.area_cells(w) == 0]
     if zero_area != [base.text]:
         fails.append(f"area-0 paths {zero_area} instead of [{base.text}]")
     if stats.dinv_pairs(base) != top:
@@ -234,61 +231,53 @@ def _base_case_failures(params, words) -> list[str]:
 def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run all checks; the result order matches CHECK_NAMES.
 
-    With jobs > 1 the per-path checks are split into contiguous index
-    ranges of the enumeration, one per forked worker process, and each
-    worker returns only its failures and check counts; the parent merges
-    them in index order, so the outcome never depends on scheduling.  The
-    number of workers is jobs clamped to the available CPUs and to the
-    path count; with one worker, or without `fork`, the checks run in this
-    process.  Bijectivity and the base case always run in this process.
-    A fork copies only the calling thread, so pass jobs > 1 only from a
-    process that runs no other threads.
+    One pass enumerates, sweeps and checks each path, and no list of the
+    paths is kept: bijectivity and the base case read the (word, image)
+    texts and the area-0 paths that the pass returns.  With jobs > 1 the
+    pass is split into contiguous index ranges sized from count_dyck, one
+    per forked worker process, and the last range is left open, so it runs
+    to the end of the enumeration.  The parent concatenates the returns in
+    index order, so the outcome never depends on scheduling.  The worker
+    count is jobs clamped to the available CPUs and to the path count; with
+    one worker, or without `fork`, the pass runs in this process.  A fork
+    copies only the calling thread, so pass jobs > 1 only from a process
+    that runs no other threads.
     """
-    words = list(paths.enumerate_dyck(params, limit))
-    workers = _worker_count(jobs, len(words))
+    paths.enumerate_dyck(params, limit)  # checks the limit before any work
+    path_count = paths.count_dyck(params)
+    workers = _worker_count(jobs, path_count)
 
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = [len(words) * i // workers for i in range(workers + 1)]
+        starts = [path_count * i // workers for i in range(workers)]
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
             partials = list(
                 pool.map(
-                    _shard, [params] * workers, [limit] * workers, bounds[:-1], bounds[1:]
+                    _word_failures, [params] * workers, [limit] * workers,
+                    starts, starts[1:] + [None],
                 )
             )
     else:
-        partials = [_word_failures(params, words)]
+        partials = [_word_failures(params, limit, 0, None)]
 
-    move_total = sum(moves for _, moves, _ in partials)
-    step_total = sum(steps for _, _, steps in partials)
-    checked = {
-        "image-is-dyck": len(words),
-        "bijectivity": len(words),
-        "area-formula": len(words),
-        "dinv-formulations": len(words),
-        "green-line-rank": step_total,
-        "row-structure": len(words),
-        "rank-difference": move_total,
-        "area-recursion": move_total,
-        "dinv-recursion": move_total,
-        "cross-identities": move_total,
-        "move-existence": len(words),
-        "base-case": 1,
-        "dinv-sweeps-to-area": len(words),
+    # ranges are contiguous, so concatenation keeps enumeration order
+    part_fails, part_totals, part_pairs, part_zero_area = zip(*partials)
+    fails = {
+        name: [message for part in part_fails for message in part[name]]
+        for name in CHECK_NAMES
     }
-
-    results = []
-    for name in CHECK_NAMES:
-        if name == "bijectivity":
-            fails = _bijectivity_failures(words)
-        elif name == "base-case":
-            fails = _base_case_failures(params, words)
-        else:
-            # shards are contiguous, so concatenation keeps enumeration order
-            fails = [message for part, _, _ in partials for message in part[name]]
-        results.append(CheckResult(name, checked[name], tuple(fails)))
-    return results
+    fails["bijectivity"] = _bijectivity_failures(itertools.chain.from_iterable(part_pairs))
+    fails["base-case"] = _base_case_failures(
+        params, list(itertools.chain.from_iterable(part_zero_area))
+    )
+    path_total, step_total, move_total = map(sum, zip(*part_totals))
+    checked = dict.fromkeys(CHECK_NAMES, path_total)
+    for name in ("rank-difference", "area-recursion", "dinv-recursion", "cross-identities"):
+        checked[name] = move_total
+    checked["green-line-rank"] = step_total
+    checked["base-case"] = 1
+    return [CheckResult(name, checked[name], tuple(fails[name])) for name in CHECK_NAMES]

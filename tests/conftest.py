@@ -1,4 +1,5 @@
 import functools
+import os
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,18 @@ def all_dyck(m: int, n: int, d: int) -> tuple[StepWord, ...]:
 
 def golden_bytes(name: str) -> bytes:
     return (GOLDEN_DIR / name).read_bytes()
+
+
+def subprocess_env() -> dict[str, str]:
+    """os.environ with the package source and the tests on PYTHONPATH, so a
+    child interpreter imports sweeplab and the test modules from this
+    checkout."""
+    here = Path(__file__).parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
+    )
+    return env
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 
 import sweeplab.stats
 from sweeplab.cli import main
-from conftest import PARAM_SETS, golden_bytes
+from conftest import PARAM_SETS, golden_bytes, subprocess_env
 
 
 def run_cli(tmp_path, *args):
@@ -155,6 +155,7 @@ class TestVerifyCommand:
                 capture_output=True,
                 text=True,
                 timeout=120,
+                env=subprocess_env(),
             )
 
         serial, parallel = verify("1"), verify("2")
@@ -266,6 +267,14 @@ class TestUsageErrors:
         assert main(["enumerate", "--m", "3", "--n", "2", "--jobs", "2"]) == 4
         assert main(["render", "--m", "3", "--n", "2", "--format", "svg", "NENEE"]) == 4
 
+    def test_non_positive_limit_flag_exits_4(self, capsys):
+        # a flag misuse, as SWEEPLAB_LIMIT <= 0 is, not an exceeded limit
+        for command in (["enumerate"], ["verify"], ["unsweep", "NNEEE"]):
+            for limit in ("0", "-5"):
+                argv = [command[0], "--m", "3", "--n", "2", "--limit", limit, *command[1:]]
+                assert main(argv) == 4
+                assert "positive integer" in capsys.readouterr().err
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
@@ -273,6 +282,7 @@ class TestConsoleEntryPoint:
             [sys.executable, "-m", "sweeplab", "verify", "--m", "3", "--n", "2", "--d", "1"],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "13 checks x 2 paths: PASS"

@@ -138,6 +138,12 @@ class TestEnumerate:
         with pytest.raises(LimitExceeded):
             enumerate_dyck(make_params(3, 2, 1), limit=4)
 
+    def test_non_positive_limit(self):
+        # rejected like a non-positive SWEEPLAB_LIMIT, before any step count
+        for limit in (0, -5):
+            with pytest.raises(ValueError, match="positive integer"):
+                enumerate_dyck(make_params(3, 2, 1), limit=limit)
+
     def test_env_var_limit(self, monkeypatch):
         monkeypatch.setenv("SWEEPLAB_LIMIT", "4")
         with pytest.raises(LimitExceeded):

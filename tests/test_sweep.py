@@ -18,7 +18,7 @@ from sweeplab import (
     unsweep,
 )
 import sweeplab.sweeping
-from sweeplab.sweeping import key_precedes, sweep_key, sweep_keys
+from sweeplab.sweeping import sweep_key, sweep_keys
 from conftest import PARAM_SETS, all_dyck
 
 
@@ -179,10 +179,11 @@ class TestGreenLine:
 
 class TestKeyOrder:
     def test_precedes(self):
-        assert key_precedes((0, 5), (1, 1))
-        assert key_precedes((1, 4), (1, 2))  # rightmost first within a level
-        assert not key_precedes((1, 2), (1, 4))
-        assert not key_precedes((1, 2), (1, 2))
+        # the step with the smaller key, by (rank, column), is swept first
+        assert sweep_key(0, 5) < sweep_key(1, 1)
+        assert sweep_key(1, 4) < sweep_key(1, 2)  # rightmost first within a level
+        assert not sweep_key(1, 2) < sweep_key(1, 4)
+        assert not sweep_key(1, 2) < sweep_key(1, 2)
 
 
 class TestUnsweep:

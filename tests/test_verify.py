@@ -1,19 +1,21 @@
+import collections
 import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+import sweeplab.paths
 import sweeplab.recursion
 import sweeplab.stats
 import sweeplab.sweeping
 from sweeplab import (
     CHECK_NAMES,
     apply_move,
+    base_path,
     dinv_recursion_delta,
     make_params,
     parse_word,
@@ -21,7 +23,7 @@ from sweeplab import (
     start_ranks,
     valid_moves,
 )
-from conftest import PARAM_SETS, all_dyck
+from conftest import PARAM_SETS, all_dyck, subprocess_env
 
 
 def test_thirteen_named_checks():
@@ -94,6 +96,7 @@ def test_import_does_not_load_multiprocessing():
         capture_output=True,
         text=True,
         timeout=60,
+        env=subprocess_env(),
     )
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
@@ -113,6 +116,56 @@ def test_checked_volumes(p321, monkeypatch):
     for name in ("rank-difference", "area-recursion", "dinv-recursion",
                  "cross-identities", "green-line-rank"):
         assert results[name].checked == by_name[name]
+
+
+def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
+    calls = collections.Counter()
+
+    def count_calls(module, name):
+        true_fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return true_fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(sweeplab.sweeping, "sweep")
+    count_calls(sweeplab.stats, "area_cells")
+    assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    # 66 paths, 65 distinct swapped words and the base path
+    assert calls["sweep"] == 132
+    # 66 paths, their 66 images and the corner path
+    assert calls["area_cells"] == 133
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_last_range_runs_to_the_end_of_the_enumeration(monkeypatch):
+    true_enumerate = sweeplab.paths.enumerate_dyck
+
+    def last_path_twice(params, limit=None):
+        words = list(true_enumerate(params, limit))
+        return iter(words + words[-1:])
+
+    monkeypatch.setattr(sweeplab.paths, "enumerate_dyck", last_path_twice)
+    # two workers, also on a single CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    params = make_params(7, 5, 1)
+    results = run_checks(params)
+    by_name = {r.name: r for r in results}
+    # the last path is the base path, one past count_dyck
+    base, image = base_path(params).text, sweeplab.sweeping.sweep(base_path(params)).text
+    assert by_name["bijectivity"].failures == (
+        f"words {base} and {base} both map to {image}",
+    )
+    assert by_name["base-case"].failures == (
+        f"area-0 paths {[base, base]} instead of [{base}]",
+    )
+    assert by_name["dinv-sweeps-to-area"].checked == 67
+    assert run_checks(params, jobs=2) == results
 
 
 @pytest.mark.parametrize(
@@ -207,8 +260,6 @@ def test_broken_green_line_is_caught(monkeypatch):
 
 
 def test_broken_sweep_breaks_bijectivity(monkeypatch):
-    from sweeplab import base_path
-
     constant = base_path(make_params(3, 2, 1))
     monkeypatch.setattr(sweeplab.sweeping, "sweep", lambda word: constant)
     results = {r.name: r for r in run_checks(make_params(3, 2, 1))}
@@ -231,7 +282,6 @@ def test_wrong_tie_break_is_recorded(monkeypatch):
 
 
 def test_wrong_tie_break_is_recorded_under_optimize():
-    here = Path(__file__).parent
     script = (
         "import sys, sweeplab.sweeping, test_verify\n"
         "from sweeplab import make_params, run_checks\n"
@@ -239,12 +289,11 @@ def test_wrong_tie_break_is_recorded_under_optimize():
         "results = run_checks(make_params(3, 2, 2))\n"
         "print(sys.flags.optimize, *(r.name for r in results if not r.passed))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(here.parent / "src"), str(here), env.get("PYTHONPATH", "")]
-    )
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     optimize, *failed = proc.stdout.split()
