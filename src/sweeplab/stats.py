@@ -7,17 +7,22 @@ East step, and weakly above the diagonal when its south-east corner rank
 m*y - n*(x+1) is nonnegative.  The corner convention matters only for
 d > 1, where the diagonal passes through interior lattice points; it is
 the convention under which the greedy base path is the unique area-0 path
-and the corner path attains the maximum.
+and the corner path attains the maximum.  area_cells solves that cell
+condition row by row in one O(L) walk over the L steps; area_rank_formula
+reads the North-step start ranks instead.
 
 dinv counts pairs of an East step before a North step whose start ranks
-a, b satisfy 0 <= a - b < m + n; equivalently, cells above the path whose
-below-East and right-North steps satisfy the same inequality.
+a, b satisfy 0 <= a - b < m + n.  dinv_pairs counts them for each North
+step by bisecting the sorted start ranks of the East steps before it, in
+O(L log L) comparisons; dinv_cell_list tests the same inequality cell by
+cell over the cells above the path, in O(L^2).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -34,23 +39,29 @@ from .paths import (
 )
 
 
-def _letter_positions(word: StepWord) -> tuple[list[int], list[int]]:
-    norths = [i for i, ch in enumerate(word.steps) if ch == NORTH]
-    easts = [i for i, ch in enumerate(word.steps) if ch == EAST]
-    return norths, easts
-
-
 def area_cells(word: StepWord) -> int:
-    """Cells below the path and weakly above the diagonal, counted one by
-    one."""
+    """Cells below the path and weakly above the diagonal, counted row by
+    row in one O(L) walk over the steps.
+
+    The North step of row y, taken after x East steps, lies to the left of
+    the cells x' >= x of its row, and m*y - n*(x'+1) >= 0 keeps those with
+    x' < m*y // n, so the row adds m*y // n - x cells.  On a Dyck word its
+    start rank m*y - n*x is nonnegative, so no row adds a negative count.
+
+    >>> from .paths import make_params, parse_word
+    >>> params = make_params(3, 2)
+    >>> area_cells(parse_word("NENEE", params)), area_cells(parse_word("NNEEE", params))
+    (0, 1)
+    """
     require_dyck(word)
     m, n = word.params.m, word.params.n
-    norths, easts = _letter_positions(word)
-    total = 0
-    for y, npos in enumerate(norths):
-        for x, epos in enumerate(easts):
-            if npos < epos and m * y - n * (x + 1) >= 0:
-                total += 1
+    total = x = y = 0
+    for ch in word.steps:
+        if ch == NORTH:
+            total += m * y // n - x
+            y += 1
+        else:
+            x += 1
     return total
 
 
@@ -80,18 +91,28 @@ def least_row_rank(j: int, params: Params) -> int:
 
 
 def dinv_pairs(word: StepWord) -> int:
-    """dinv as a count over (East, later North) step pairs."""
+    """dinv as a count over (East, later North) step pairs.
+
+    The start ranks of the East steps met so far are kept sorted, and a
+    North step of rank b adds the number of them in [b, b + m + n).  East
+    steps of equal rank, which occur for d > 1, each keep their own entry,
+    so tied pairs count with multiplicity.  Cost: O(L log L) comparisons,
+    with insort's list shifts done in C.
+
+    >>> from .paths import make_params, parse_word
+    >>> params = make_params(3, 2)
+    >>> dinv_pairs(parse_word("NENEE", params)), dinv_pairs(parse_word("NNEEE", params))
+    (1, 0)
+    """
     require_dyck(word)
-    m, n = word.params.m, word.params.n
-    ranks = start_ranks(word)
+    width = word.params.m + word.params.n
+    seen: list[int] = []
     total = 0
-    for i, ch_i in enumerate(word.steps):
-        if ch_i != EAST:
-            continue
-        a = ranks[i]
-        for j in range(i + 1, len(word)):
-            if word.steps[j] == NORTH and 0 <= a - ranks[j] < m + n:
-                total += 1
+    for ch, rank in zip(word.steps, start_ranks(word)):
+        if ch == NORTH:
+            total += bisect_left(seen, rank + width) - bisect_left(seen, rank)
+        else:
+            insort(seen, rank)
     return total
 
 
@@ -100,12 +121,16 @@ def dinv_cell_list(word: StepWord) -> list[tuple[int, int]]:
 
     A cell (x, y) above the path contributes when the start rank a of the
     East step below it and the start rank b of the North step to its
-    right satisfy 0 <= a - b < m + n.
+    right satisfy 0 <= a - b < m + n.  This is the cell-by-cell O(L^2)
+    formulation.  verify checks dinv_pairs against it, so it is kept
+    independent of dinv_pairs on purpose: the two share no code but the
+    start ranks.
     """
     require_dyck(word)
     m, n = word.params.m, word.params.n
     ranks = start_ranks(word)
-    norths, easts = _letter_positions(word)
+    norths = [i for i, ch in enumerate(word.steps) if ch == NORTH]
+    easts = [i for i, ch in enumerate(word.steps) if ch == EAST]
     cells = []
     for y, npos in enumerate(norths):
         for x, epos in enumerate(easts):

@@ -22,6 +22,7 @@ from sweeplab import (
     vertex_ranks,
 )
 from conftest import all_dyck
+from test_stats import area_by_cells, dinv_by_pairs
 
 params_pool = st.sampled_from(
     [
@@ -39,6 +40,33 @@ def dyck_words(draw):
     m, n, d = draw(params_pool)
     words = all_dyck(m, n, d)
     return words[draw(st.integers(0, len(words) - 1))]
+
+
+long_params_pool = st.sampled_from(
+    [
+        (m, n, d)
+        for m in range(1, 40)
+        for n in range(1, 40)
+        for d in (1, 2, 3)
+        if math.gcd(m, n) == 1 and d * (m + n) <= 40
+    ]
+)
+
+
+@st.composite
+def long_dyck_words(draw):
+    """Dyck words of up to 40 steps, built without enumerating their set.
+
+    A random arrangement of the letters is rotated to start at a vertex of
+    least rank; every vertex rank of the rotation is then nonnegative.
+    """
+    m, n, d = draw(long_params_pool)
+    params = make_params(m, n, d)
+    letters = ["N"] * params.north_count + ["E"] * params.east_count
+    steps = draw(st.permutations(letters))
+    ranks = vertex_ranks(parse_word("".join(steps), params))
+    start = ranks.index(min(ranks))
+    return parse_word("".join(steps[start:] + steps[:start]), params)
 
 
 @st.composite
@@ -85,6 +113,13 @@ def test_sweep_image_is_dyck(word):
 @given(dyck_words())
 def test_dinv_equals_image_area(word):
     assert dinv_pairs(word) == area_cells(sweep(word))
+
+
+@given(long_dyck_words())
+def test_kernels_equal_the_references_beyond_enumeration(word):
+    assert is_dyck(word)
+    assert area_cells(word) == area_by_cells(word)
+    assert dinv_pairs(word) == dinv_by_pairs(word)
 
 
 @given(dyck_words())

@@ -1,6 +1,8 @@
 import pytest
 
 from sweeplab import (
+    EAST,
+    NORTH,
     NotDyck,
     RowOutOfRange,
     area_cells,
@@ -16,9 +18,41 @@ from sweeplab import (
     max_stat,
     parse_word,
     south_end_ranks,
+    start_ranks,
     sweep,
 )
 from conftest import PARAM_SETS, all_dyck
+
+# the exhaustive sets plus the benchmark's verify sets, d = 2 and 3 included
+KERNEL_SETS = PARAM_SETS + [(11, 7, 1), (5, 3, 2), (3, 2, 3)]
+
+
+def area_by_cells(word):
+    """Reference area: test every cell (x, y) of the grid on its own."""
+    m, n = word.params.m, word.params.n
+    norths = [i for i, ch in enumerate(word.steps) if ch == NORTH]
+    easts = [i for i, ch in enumerate(word.steps) if ch == EAST]
+    total = 0
+    for y, npos in enumerate(norths):
+        for x, epos in enumerate(easts):
+            if npos < epos and m * y - n * (x + 1) >= 0:
+                total += 1
+    return total
+
+
+def dinv_by_pairs(word):
+    """Reference dinv: test every (East, later North) step pair on its own."""
+    m, n = word.params.m, word.params.n
+    ranks = start_ranks(word)
+    total = 0
+    for i, ch_i in enumerate(word.steps):
+        if ch_i != EAST:
+            continue
+        a = ranks[i]
+        for j in range(i + 1, len(word)):
+            if word.steps[j] == NORTH and 0 <= a - ranks[j] < m + n:
+                total += 1
+    return total
 
 
 class TestAreaCells:
@@ -38,6 +72,11 @@ class TestAreaCells:
             top = max_stat(make_params(m, n, d))
             for word in all_dyck(m, n, d):
                 assert 0 <= area_cells(word) <= top
+
+    @pytest.mark.parametrize("m,n,d", KERNEL_SETS)
+    def test_equals_the_per_cell_count(self, m, n, d):
+        for word in all_dyck(m, n, d):
+            assert area_cells(word) == area_by_cells(word), word.text
 
 
 class TestAreaRankFormula:
@@ -136,6 +175,11 @@ class TestDinv:
             top = max_stat(make_params(m, n, d))
             for word in all_dyck(m, n, d):
                 assert 0 <= dinv_pairs(word) <= top
+
+    @pytest.mark.parametrize("m,n,d", KERNEL_SETS)
+    def test_equals_the_per_pair_count(self, m, n, d):
+        for word in all_dyck(m, n, d):
+            assert dinv_pairs(word) == dinv_by_pairs(word), word.text
 
 
 class TestMaxStat:

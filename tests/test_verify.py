@@ -247,6 +247,25 @@ def test_region_counts_memo_keeps_pairs_apart():
             assert region_counts(word, move) == fresh[word, move]
 
 
+def test_area_cells_does_not_share_the_ranks_of_the_formula(monkeypatch):
+    # only area_rank_formula reads south_end_ranks; raising the first rank
+    # by n raises its area by one on every path, and area_cells, which is
+    # checked against it, must not move with it
+    n = 5
+    true_ranks = sweeplab.stats.south_end_ranks
+
+    def raised(word):
+        first, *rest = true_ranks(word)
+        return (first + n, *rest)
+
+    monkeypatch.setattr(sweeplab.stats, "south_end_ranks", raised)
+    params = make_params(7, n, 1)
+    results = {r.name: r for r in run_checks(params)}
+    formula = results["area-formula"]
+    assert len(formula.failures) == formula.checked == len(all_dyck(7, n, 1))
+    assert all(r.passed for name, r in results.items() if name != "area-formula")
+
+
 def test_broken_green_line_is_caught(monkeypatch):
     true_rank = sweeplab.sweeping.green_line_rank
     monkeypatch.setattr(
