@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from . import paths, render, stats, verify
@@ -115,6 +114,20 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
+#: The output line of one _record, per format: `enumerate` uses each of them
+#: and `stats --format jsonl` the JSONL one.  The JSONL line is json.dumps of
+#: the record, keys in _record order; no value needs escaping, since a word
+#: is letters N and E and every other value an int.
+_LINES = {
+    "jsonl": (
+        '{{"word": "{word}", "m": {m}, "n": {n}, "d": {d}, '
+        '"area": {area}, "dinv": {dinv}, "sweep": "{sweep}"}}\n'
+    ),
+    "csv": "{word},{m},{n},{d},{area},{dinv},{sweep}\n",
+    "text": "{word} area={area} dinv={dinv} sweep={sweep}\n",
+}
+
+
 def _record(word, image=None):
     image = sweeping.sweep(word) if image is None else image
     p = word.params
@@ -134,7 +147,7 @@ def _cmd_stats(args, params) -> int:
     paths.require_dyck(word)
     image = sweeping.sweep(word)
     if args.format == "jsonl":
-        _emit(json.dumps(_record(word, image)) + "\n", args.out)
+        _emit(_LINES["jsonl"].format_map(_record(word, image)), args.out)
         return EXIT_OK
     lines = [
         f"word={word.text}",
@@ -153,24 +166,12 @@ def _cmd_stats(args, params) -> int:
 def _cmd_enumerate(args, params) -> int:
     # enumerate_dyck checks the limit here, before the output is opened
     words = paths.enumerate_dyck(params, args.limit)
+    line = _LINES[args.format]
     with _output(args.out) as fh:
         if args.format == "csv":
             fh.write("word,m,n,d,area,dinv,sweep\n")
         for word in words:
-            rec = _record(word)
-            if args.format == "jsonl":
-                line = json.dumps(rec)
-            elif args.format == "csv":
-                line = (
-                    f"{rec['word']},{rec['m']},{rec['n']},{rec['d']},"
-                    f"{rec['area']},{rec['dinv']},{rec['sweep']}"
-                )
-            else:
-                line = (
-                    f"{rec['word']} area={rec['area']} dinv={rec['dinv']} "
-                    f"sweep={rec['sweep']}"
-                )
-            fh.write(line + "\n")
+            fh.write(line.format_map(_record(word)))
     return EXIT_OK
 
 

@@ -10,6 +10,11 @@ exactly when no vertex rank goes negative.
 Words are plain strings over {N, E} wrapped in StepWord together with
 their parameters.  Columns (step positions) are numbered from 1 so that
 they match the columns of the stretched diagram in `diagram`.
+
+A word's start ranks are computed at most once.  The enumeration walk
+already tracks them, so every word it yields arrives with its rank tuple
+cached; any other word computes its ranks on first use, as a running sum
+(`itertools.accumulate`) of the step each letter contributes.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     BadCounts,
@@ -99,7 +105,8 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
 @dataclass(frozen=True)
 class StepWord:
     """An immutable word of North/East steps with its parameters; its start
-    ranks are computed once, on first use."""
+    ranks are computed once, on first use, unless the enumeration walk
+    handed them over."""
 
     steps: tuple[str, ...]
     params: Params
@@ -130,11 +137,8 @@ class StepWord:
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
         """The starting rank of each step; see start_ranks."""
-        m, n = self.params.m, self.params.n
-        ranks = [0]
-        for ch in self.steps[:-1]:
-            ranks.append(ranks[-1] + (m if ch == NORTH else -n))
-        return tuple(ranks)
+        step = {NORTH: self.params.m, EAST: -self.params.n}
+        return tuple(accumulate(map(step.__getitem__, self.steps[:-1]), initial=0))
 
 
 _ALPHABET = {"N": NORTH, "E": EAST, "S": NORTH, "W": EAST}
@@ -207,7 +211,10 @@ def enumerate_dyck(params: Params, limit: int | None = None):
 def _enumerate(params: Params):
     """Iterative backtracking: complete the prefix with its smallest
     continuation (the remaining North steps, then East steps), then turn
-    the rightmost North step that may become East into East."""
+    the rightmost North step that may become East into East.
+
+    The walk keeps every step's start rank, so each yielded word gets that
+    tuple as its cached ranks instead of computing them again."""
     m, n = params.m, params.n
     length = params.step_count
     steps = [NORTH] * length
@@ -223,7 +230,9 @@ def _enumerate(params: Params):
             else:
                 steps[i] = EAST
                 rank -= n
-        yield StepWord(tuple(steps), params)
+        word = StepWord(tuple(steps), params)
+        word.__dict__["_ranks"] = tuple(ranks)  # the cached_property's slot
+        yield word
         pos = length - 1
         while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
             norths += steps[pos] == NORTH

@@ -97,8 +97,14 @@ def _check_move(word: StepWord, move: RemovalMove) -> None:
         )
 
 
+@functools.lru_cache(maxsize=1)
 def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
-    """The word with the two steps swapped; area drops by exactly one."""
+    """The word with the two steps swapped; area drops by exactly one.
+
+    The last result is kept: `verify` swaps each move once for the direct
+    deltas and asks for the same swapped word again through
+    rank_difference_check.
+    """
     _check_move(word, move)
     p = move.position
     steps = list(word.steps)

@@ -7,6 +7,11 @@ slope, so within one level the line meets the rightmost start first.  The
 key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
+`sweep_key` is the one definition of that order.  `sweep_order` sorts the
+keys of all steps at once, reading the start ranks that `paths` caches on
+the word, and reads each column back off its key; the keys are distinct,
+so no sort key function is needed.
+
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_rank` recomputes it from the geometry of the stretched diagram
 alone: segment counts relative to the slope-epsilon line through the
@@ -99,8 +104,7 @@ class GreenLine:
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
     """Step positions (1-based) sorted into sweep order."""
-    by_column = ((),) + sweep_keys(word)  # index 0 unused: columns are 1-based
-    return tuple(sorted(range(1, len(by_column)), key=by_column.__getitem__))
+    return tuple([-c for _, c in sorted(sweep_keys(word))])
 
 
 def sweep(word: StepWord) -> StepWord:
@@ -110,8 +114,8 @@ def sweep(word: StepWord) -> StepWord:
     >>> sweep(parse_word("NENEE", make_params(3, 2))).text
     'NNEEE'
     """
-    steps = tuple(word.steps[c - 1] for c in sweep_order(word))
-    return StepWord(steps, word.params)
+    steps = word.steps
+    return StepWord(tuple([steps[c - 1] for c in sweep_order(word)]), word.params)
 
 
 def image_start_rank(word: StepWord, position_in_sweep: int) -> int:

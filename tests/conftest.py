@@ -21,6 +21,10 @@ PARAM_SETS = [
     (2, 1, 3),
 ]
 
+# The exhaustive sets plus the three sets of the verify benchmark, d = 2 and
+# 3 included.
+WIDE_SETS = PARAM_SETS + [(11, 7, 1), (5, 3, 2), (3, 2, 3)]
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 

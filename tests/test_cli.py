@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import sweeplab.stats
-from sweeplab.cli import main
-from conftest import PARAM_SETS, golden_bytes, subprocess_env
+from sweeplab.cli import _record, main
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
+
+JSONL_KEYS = ["word", "m", "n", "d", "area", "dinv", "sweep"]
 
 
 def run_cli(tmp_path, *args):
@@ -67,7 +69,34 @@ class TestGoldenOutputs:
             tmp_path, "enumerate", "--m", "3", "--n", "2", "--d", "1", "--format", "jsonl"
         )
         first = out.decode().splitlines()[0]
-        assert list(json.loads(first)) == ["word", "m", "n", "d", "area", "dinv", "sweep"]
+        assert list(json.loads(first)) == JSONL_KEYS
+
+
+class TestJsonlLines:
+    """The JSONL line template against json.dumps of the same record."""
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_enumerate_lines_equal_json_dumps(self, tmp_path, m, n, d):
+        code, out = run_cli(
+            tmp_path, "enumerate", "--m", str(m), "--n", str(n), "--d", str(d),
+            "--format", "jsonl",
+        )
+        assert code == 0
+        lines = out.decode().splitlines(keepends=True)
+        words = all_dyck(m, n, d)
+        assert lines == [json.dumps(_record(word)) + "\n" for word in words]
+        assert all(list(json.loads(line)) == JSONL_KEYS for line in lines)
+
+    def test_stats_lines_equal_json_dumps(self, tmp_path):
+        for (m, n, d) in PARAM_SETS:
+            for word in all_dyck(m, n, d):
+                _, out = run_cli(
+                    tmp_path, "stats", "--m", str(m), "--n", str(n), "--d", str(d),
+                    "--format", "jsonl", word.text,
+                )
+                line = out.decode()
+                assert line == json.dumps(_record(word)) + "\n"
+                assert list(json.loads(line)) == JSONL_KEYS
 
 
 class TestStatsCommand:

@@ -7,6 +7,7 @@ from sweeplab import (
     NonCoprime,
     NonPositive,
     NotDyck,
+    StepWord,
     base_path,
     corner_path,
     count_dyck,
@@ -18,7 +19,7 @@ from sweeplab import (
     start_ranks,
     vertex_ranks,
 )
-from conftest import PARAM_SETS, all_dyck
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
 class TestParams:
@@ -84,6 +85,14 @@ class TestRanks:
         ranks = vertex_ranks(word)
         for i, ch in enumerate(word.steps):
             assert ranks[i + 1] - ranks[i] == (5 if ch == "N" else -2)
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_enumeration_hands_over_its_ranks(self, m, n, d):
+        params = make_params(m, n, d)
+        for word in enumerate_dyck(params):
+            # cached by the walk, before anything reads them
+            assert "_ranks" in vars(word)
+            assert start_ranks(word) == start_ranks(StepWord(word.steps, params))
 
 
 class TestIsDyck:

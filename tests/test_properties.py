@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweeplab import (
+    StepWord,
     apply_move,
     area_cells,
     build_diagram,
@@ -17,10 +18,12 @@ from sweeplab import (
     parse_word,
     start_ranks,
     sweep,
+    sweep_order,
     unsweep,
     valid_moves,
     vertex_ranks,
 )
+from sweeplab.sweeping import sweep_key
 from conftest import all_dyck
 from test_stats import area_by_cells, dinv_by_pairs
 
@@ -67,6 +70,26 @@ def long_dyck_words(draw):
     ranks = vertex_ranks(parse_word("".join(steps), params))
     start = ranks.index(min(ranks))
     return parse_word("".join(steps[start:] + steps[:start]), params)
+
+
+@st.composite
+def arrangements(draw):
+    """Any order of the dn North and dm East letters, d <= 3, up to 40
+    steps; most are not Dyck, so ranks go negative and, for d > 1, tie."""
+    m, n, d = draw(long_params_pool)
+    params = make_params(m, n, d)
+    letters = ["N"] * params.north_count + ["E"] * params.east_count
+    return StepWord(tuple(draw(st.permutations(letters))), params)
+
+
+def ranks_by_loop(word):
+    """Start ranks by a plain append loop, the reference for the running
+    sum that StepWord computes."""
+    m, n = word.params.m, word.params.n
+    ranks = [0]
+    for ch in word.steps[:-1]:
+        ranks.append(ranks[-1] + (m if ch == "N" else -n))
+    return tuple(ranks)
 
 
 @st.composite
@@ -120,6 +143,19 @@ def test_kernels_equal_the_references_beyond_enumeration(word):
     assert is_dyck(word)
     assert area_cells(word) == area_by_cells(word)
     assert dinv_pairs(word) == dinv_by_pairs(word)
+
+
+@given(arrangements())
+def test_ranks_equal_the_append_loop(word):
+    assert start_ranks(word) == ranks_by_loop(word)
+
+
+@given(arrangements())
+def test_sweep_order_equals_the_keyed_sort(word):
+    ranks = start_ranks(word)
+    columns = range(1, len(word) + 1)
+    expected = sorted(columns, key=lambda c: sweep_key(ranks[c - 1], c))
+    assert sweep_order(word) == tuple(expected)
 
 
 @given(dyck_words())

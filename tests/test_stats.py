@@ -21,10 +21,7 @@ from sweeplab import (
     start_ranks,
     sweep,
 )
-from conftest import PARAM_SETS, all_dyck
-
-# the exhaustive sets plus the benchmark's verify sets, d = 2 and 3 included
-KERNEL_SETS = PARAM_SETS + [(11, 7, 1), (5, 3, 2), (3, 2, 3)]
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
 def area_by_cells(word):
@@ -73,7 +70,7 @@ class TestAreaCells:
             for word in all_dyck(m, n, d):
                 assert 0 <= area_cells(word) <= top
 
-    @pytest.mark.parametrize("m,n,d", KERNEL_SETS)
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_equals_the_per_cell_count(self, m, n, d):
         for word in all_dyck(m, n, d):
             assert area_cells(word) == area_by_cells(word), word.text
@@ -176,7 +173,7 @@ class TestDinv:
             for word in all_dyck(m, n, d):
                 assert 0 <= dinv_pairs(word) <= top
 
-    @pytest.mark.parametrize("m,n,d", KERNEL_SETS)
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_equals_the_per_pair_count(self, m, n, d):
         for word in all_dyck(m, n, d):
             assert dinv_pairs(word) == dinv_by_pairs(word), word.text

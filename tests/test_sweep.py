@@ -30,6 +30,10 @@ class TestSweepOrder:
         # ranks (0, 1, 2, 1): columns 2 and 4 tie at level 1
         assert sweep_order(parse_word("NNEE", p112)) == (1, 4, 2, 3)
 
+    def test_tie_rule_on_negative_ranks(self, p112):
+        # not Dyck, ranks (0, -1, -2, -1): columns 2 and 4 tie at level -1
+        assert sweep_order(parse_word("EENN", p112)) == (3, 4, 2, 1)
+
     def test_keys_strictly_increase_along_order(self):
         for (m, n, d) in PARAM_SETS:
             for word in all_dyck(m, n, d):

@@ -139,6 +139,23 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
     assert calls["area_cells"] == 133
 
 
+def test_each_move_builds_one_swapped_word(monkeypatch):
+    built = collections.Counter()
+    true_step_word = sweeplab.recursion.StepWord
+
+    def counted(steps, params):
+        built["words"] += 1
+        return true_step_word(steps, params)
+
+    # apply_move is the only StepWord constructor in recursion
+    monkeypatch.setattr(sweeplab.recursion, "StepWord", counted)
+    sweeplab.recursion.apply_move.cache_clear()
+    results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
+    assert all(r.passed for r in results.values())
+    # rank_difference_check reads the word that the direct deltas swapped
+    assert built["words"] == results["rank-difference"].checked == 144
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
 )
