@@ -1,18 +1,19 @@
 """Command-line surface.
 
-    sweeplab stats     --m M --n N [--d D] WORD
-    sweeplab enumerate --m M --n N [--d D] [--format text|csv|jsonl]
-    sweeplab verify    --m M --n N [--d D] [--jobs J]
-    sweeplab table     --m M --n N [--d D] [--format text|csv]
+    sweeplab stats     --m M --n N [--d D] [--format text|jsonl] WORD
+    sweeplab enumerate --m M --n N [--d D] [--limit L] [--format text|csv|jsonl]
+    sweeplab verify    --m M --n N [--d D] [--limit L] [--jobs J]
+    sweeplab table     --m M --n N [--d D] [--limit L] [--format text|csv]
     sweeplab render    --m M --n N [--d D] [--style grid|diagram]
                        [--highlight STEP] WORD
     sweeplab sweep     --m M --n N [--d D] WORD
-    sweeplab unsweep   --m M --n N [--d D] WORD
+    sweeplab unsweep   --m M --n N [--d D] [--limit L] WORD
 
 Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  The environment variable
-SWEEPLAB_LIMIT overrides the default enumeration cap; --limit overrides
-both.  Either must be a positive integer; anything else exits 4.
+SWEEPLAB_LIMIT overrides the default enumeration cap; --limit, taken only
+by the commands that enumerate, overrides both.  Either must be a positive
+integer; anything else exits 4, as does an --out FILE that cannot be opened.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="sweeplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word=False):
+    def common(p, word=False, limit=False):
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--d", type=int, default=1)
-        p.add_argument("--limit", type=int, default=None)
+        if limit:
+            p.add_argument("--limit", type=int, default=None)
         p.add_argument("--out", default=None)
         if word:
             p.add_argument("word")
@@ -67,11 +69,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
 
     p = sub.add_parser("enumerate", help="list every Dyck path with its statistics")
-    common(p)
+    common(p, limit=True)
     p.add_argument("--format", choices=["text", "csv", "jsonl"], default="text")
 
     p = sub.add_parser("verify", help="run every identity check exhaustively")
-    common(p)
+    common(p, limit=True)
     p.add_argument(
         "--jobs",
         type=int,
@@ -82,7 +84,7 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("table", help="joint (area, dinv) distribution")
-    common(p)
+    common(p, limit=True)
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
     p = sub.add_parser("render", help="SVG picture of a path")
@@ -94,19 +96,20 @@ def _build_parser() -> _Parser:
     common(p, word=True)
 
     p = sub.add_parser("unsweep", help="sweep map preimage of a Dyck word")
-    common(p, word=True)
+    common(p, word=True, limit=True)
 
     return parser
 
 
-@contextlib.contextmanager
 def _output(out: str | None):
-    """The stream to write to: stdout, or the file `out`."""
+    """The stream to write to, as a context manager: stdout, or the file
+    `out`; a file that cannot be opened is a flag misuse."""
     if out is None:
-        yield sys.stdout
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {out}: {exc.strerror}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

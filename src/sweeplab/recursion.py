@@ -56,7 +56,8 @@ class RemovalMove:
 
 @dataclass(frozen=True)
 class RegionCounts:
-    """Segment counts of the non-displayed arrows in the four bands."""
+    """Segment counts of the non-displayed arrows in the four bands, and
+    the two recursion deltas they predict."""
 
     red_top_left: int
     blue_top_left: int
@@ -64,6 +65,22 @@ class RegionCounts:
     blue_bottom_left: int
     blue_bottom_right: int
     red_bottom_right: int
+
+    @property
+    def area_delta(self) -> int:
+        """Predicted change of the sweep image's area under the move."""
+        return (
+            self.red_top_left + self.red_top_right
+            - self.blue_bottom_left - self.blue_bottom_right
+        )
+
+    @property
+    def dinv_delta(self) -> int:
+        """Predicted change of dinv under the move."""
+        return (
+            self.blue_top_left + self.red_top_right
+            - self.blue_bottom_left - self.red_bottom_right - 1
+        )
 
 
 def valid_moves(word: StepWord) -> list[RemovalMove]:
@@ -81,7 +98,14 @@ def valid_moves(word: StepWord) -> list[RemovalMove]:
     return moves
 
 
-def _check_move(word: StepWord, move: RemovalMove) -> None:
+@functools.lru_cache(maxsize=1)
+def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
+    """The word with the two steps swapped; area drops by exactly one.
+
+    The one validator of a move, raising InvalidMove; region_counts and
+    rank_difference_check call it.  The last result is kept, so in
+    `verify`, which swaps each move first, both calls are memo hits.
+    """
     p = move.position
     if not 1 <= p < len(word):
         raise InvalidMove(f"position {p} outside 1..{len(word) - 1}")
@@ -95,24 +119,11 @@ def _check_move(word: StepWord, move: RemovalMove) -> None:
         raise InvalidMove(
             f"swap at position {p} would drop below rank 0 (level {move.level})"
         )
-
-
-@functools.lru_cache(maxsize=1)
-def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
-    """The word with the two steps swapped; area drops by exactly one.
-
-    The last result is kept: `verify` swaps each move once for the direct
-    deltas and asks for the same swapped word again through
-    rank_difference_check.
-    """
-    _check_move(word, move)
-    p = move.position
     steps = list(word.steps)
     steps[p - 1], steps[p] = steps[p], steps[p - 1]
     return StepWord(tuple(steps), word.params)
 
 
-@functools.lru_cache(maxsize=1)
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     """Count band segments of all arrows except the two being moved.
 
@@ -122,10 +133,10 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     encode the slope-epsilon sweep lines through the display vertices, so
     they are exactly right for tied ranks (d > 1) as well.
 
-    The last result is kept: `verify` asks for the counts of one
-    (word, move) three times in a row, directly and through both deltas.
+    The move is validated by apply_move.  `verify` calls this once per
+    move and reads both predicted deltas from the result.
     """
-    _check_move(word, move)
+    apply_move(word, move)
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
     ranks = start_ranks(word)
@@ -166,11 +177,7 @@ def area_recursion_delta(word: StepWord, move: RemovalMove) -> int:
     Equals area_cells(sweep(word)) - area_cells(sweep(apply_move(...)))
     for every valid move.
     """
-    rc = region_counts(word, move)
-    return (
-        rc.red_top_left + rc.red_top_right
-        - rc.blue_bottom_left - rc.blue_bottom_right
-    )
+    return region_counts(word, move).area_delta
 
 
 def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
@@ -179,11 +186,7 @@ def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
     Equals dinv_pairs(word) - dinv_pairs(apply_move(...)) for every valid
     move.
     """
-    rc = region_counts(word, move)
-    return (
-        rc.blue_top_left + rc.red_top_right
-        - rc.blue_bottom_left - rc.red_bottom_right - 1
-    )
+    return region_counts(word, move).dinv_delta
 
 
 def _image_rank(word: StepWord, keys: tuple[tuple[int, int], ...], step: int) -> int:
@@ -207,12 +210,11 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     arrows (the displayed pair excluded) have sweep keys strictly between
     (k-n, p+1) and (k, p).
     """
-    _check_move(word, move)
+    swapped = apply_move(word, move)  # validates the move
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
 
     keys = sweep_keys(word)
-    swapped = apply_move(word, move)
     rank_before = _image_rank(word, keys, p)
     rank_after = _image_rank(swapped, sweep_keys(swapped), p + 1)
 

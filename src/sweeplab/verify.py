@@ -11,14 +11,16 @@ Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (installed, say, by a test
 monkeypatch) is caught and reported rather than silently trusted.
 
-All checks read one streaming pass over the enumeration, in which each
-path is swept and its area counted once; bijectivity and the base case
-read the (word, image) texts and the area-0 paths that the pass returns,
-and no list of the paths is held.  Each path's dinv and image area are
-also computed once per run (once per worker with jobs > 1), also when the
-path is reached as the swapped word of another path's removal move: the
-recursion checks and the path's own checks read them from a table keyed
-by word text.
+All checks read one streaming pass over the enumeration; bijectivity and
+the base case read the (word, image) texts and the area-0 paths that the
+pass returns, and no list of the paths is held.  One helper gives a word's
+image, dinv and image area, whether the word is reached as a path or
+first as the swapped word of another path's removal move, and keeps them
+until the path is reached; so each word is swept and its statistics
+counted once per run (once per worker with jobs > 1).  A swapped word
+whose image is not Dyck fails the area recursion of that move.  Each move
+is validated and swapped once, and its band counts are counted once and
+give both predicted deltas.
 
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
@@ -62,20 +64,23 @@ def _word_failures(params, limit, lo, hi):
     path_total = move_total = step_total = 0
     pairs: list[tuple[str, str]] = []
     zero_area: list[str] = []
-    # word text -> (dinv, image area) of swapped words not yet checked as
-    # paths.  A swap turns NE into EN, so the swapped word comes later in
-    # the N<E enumeration: its entry is taken when that path is reached.
-    direct: dict[str, tuple[int, int]] = {}
+    # word text -> (image, dinv, image area or None) of every word met so
+    # far as a swapped word and not yet reached as a path.  A swap turns NE
+    # into EN, so the swapped word comes later in the N<E enumeration: its
+    # entry is deleted when that path is reached.
+    direct: dict[str, tuple[paths.StepWord, int, int | None]] = {}
 
     def note(check: str, message: str) -> None:
         fails[check].append(message)
 
-    def direct_stats(swapped):
-        known = direct.get(swapped.text)
+    def word_stats(word):
+        """(image, dinv, image area) of a path or a swapped word, the area
+        None when the image is not Dyck; each word is swept once."""
+        known = direct.get(word.text)
         if known is None:
-            # raises NotDyck when the swapped word's image is not Dyck
-            image_area = stats.area_cells(sweeping.sweep(swapped))
-            known = direct[swapped.text] = (stats.dinv_pairs(swapped), image_area)
+            image = sweeping.sweep(word)
+            image_area = stats.area_cells(image) if paths.is_dyck(image) else None
+            known = direct[word.text] = (image, stats.dinv_pairs(word), image_area)
         return known
 
     for word in itertools.islice(paths.enumerate_dyck(params, limit), lo, hi):
@@ -85,19 +90,15 @@ def _word_failures(params, limit, lo, hi):
         path_total += 1
         move_total += len(moves)
         step_total += len(word)
-        image = sweeping.sweep(word)
+        image, dinv, image_area = word_stats(word)
+        del direct[word.text]
         pairs.append((word.text, image.text))
         area = stats.area_cells(word)
         if area == 0:
             zero_area.append(word.text)
-        known = direct.pop(word.text, None)
-        if not paths.is_dyck(image):
+        if image_area is None:
             note("image-is-dyck", f"word={word.text} image={image.text}")
             continue
-        if known is None:
-            dinv, image_area = stats.dinv_pairs(word), stats.area_cells(image)
-        else:
-            dinv, image_area = known
 
         if dinv != image_area:
             note(
@@ -113,14 +114,7 @@ def _word_failures(params, limit, lo, hi):
         if not diagram.check_row_structure(diagram.build_diagram(word)):
             note("row-structure", f"word={word.text}")
 
-        image_ranks = paths.start_ranks(image)
-        for step, image_rank in zip(sweeping.sweep_order(word), image_ranks):
-            if image_rank < 0:
-                note(
-                    "green-line-rank",
-                    f"word={word.text} step={step} negative image rank {image_rank}",
-                )
-                break
+        for step, image_rank in zip(sweeping.sweep_order(word), paths.start_ranks(image)):
             counted = sweeping.green_line_rank(word, step)
             if counted != image_rank:
                 note(
@@ -132,24 +126,23 @@ def _word_failures(params, limit, lo, hi):
         if area > 0 and not moves:
             note("move-existence", f"word={word.text} area={area}")
         for move in moves:
-            swapped = recursion.apply_move(word, move)
-            swapped_dinv, swapped_image_area = direct_stats(swapped)
+            _, swapped_dinv, swapped_image_area = word_stats(recursion.apply_move(word, move))
             counts = recursion.region_counts(word, move)
-            direct_area = image_area - swapped_image_area
-            area_delta = recursion.area_recursion_delta(word, move)
-            if area_delta != direct_area:
+            # "undefined" when the swapped image is not Dyck: no delta equals it
+            direct_area = ("undefined" if swapped_image_area is None
+                           else image_area - swapped_image_area)
+            if counts.area_delta != direct_area:
                 note(
                     "area-recursion",
                     f"word={word.text} p={move.position} "
-                    f"delta={area_delta} direct={direct_area}",
+                    f"delta={counts.area_delta} direct={direct_area}",
                 )
             direct_dinv = dinv - swapped_dinv
-            dinv_delta = recursion.dinv_recursion_delta(word, move)
-            if dinv_delta != direct_dinv:
+            if counts.dinv_delta != direct_dinv:
                 note(
                     "dinv-recursion",
                     f"word={word.text} p={move.position} "
-                    f"delta={dinv_delta} direct={direct_dinv}",
+                    f"delta={counts.dinv_delta} direct={direct_dinv}",
                 )
             if not recursion.rank_difference_check(word, move):
                 note("rank-difference", f"word={word.text} p={move.position}")

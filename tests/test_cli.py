@@ -304,6 +304,25 @@ class TestUsageErrors:
                 assert main(argv) == 4
                 assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["stats", "NENEE"], ["sweep", "NENEE"], ["render", "NENEE"]]
+    )
+    def test_limit_is_refused_where_nothing_is_enumerated(self, command, capsys):
+        argv = [command[0], "--m", "3", "--n", "2", "--limit", "0", *command[1:]]
+        assert main(argv) == 4
+        assert "unrecognized arguments: --limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", [["stats", "NENEE"], ["enumerate"], ["unsweep", "NNEEE"]]
+    )
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_unopenable_out_exits_4(self, command, target, tmp_path, capsys):
+        out = str(tmp_path / target)
+        argv = [command[0], "--m", "3", "--n", "2", *command[1:], "--out", out]
+        assert main(argv) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("sweeplab: error: cannot open --out ")
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

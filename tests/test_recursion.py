@@ -80,6 +80,21 @@ class TestApplyMove:
             apply_move(word, RemovalMove(position=2, level=5))  # wrong level
 
 
+BAD_MOVES = [
+    ("NENEE", RemovalMove(position=1, level=0)),  # level 0 < n
+    ("NNEEE", RemovalMove(position=3, level=6)),  # E-E pair
+    ("NNEEE", RemovalMove(position=2, level=5)),  # wrong level
+]
+
+
+@pytest.mark.parametrize("text,move", BAD_MOVES)
+@pytest.mark.parametrize("caller", [apply_move, region_counts, rank_difference_check])
+def test_every_move_reader_rejects_bad_moves(caller, text, move, p321):
+    # region_counts and rank_difference_check validate through apply_move
+    with pytest.raises(InvalidMove):
+        caller(parse_word(text, p321), move)
+
+
 class TestRegionCounts:
     def test_nneee(self, p321):
         word = parse_word("NNEEE", p321)

@@ -16,6 +16,7 @@ from sweeplab import (
     CHECK_NAMES,
     apply_move,
     base_path,
+    corner_path,
     dinv_recursion_delta,
     make_params,
     parse_word,
@@ -23,6 +24,7 @@ from sweeplab import (
     start_ranks,
     valid_moves,
 )
+from sweeplab.cli import main
 from conftest import PARAM_SETS, all_dyck, subprocess_env
 
 
@@ -132,11 +134,15 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
 
     count_calls(sweeplab.sweeping, "sweep")
     count_calls(sweeplab.stats, "area_cells")
+    count_calls(sweeplab.stats, "dinv_pairs")
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
-    # 66 paths, 65 distinct swapped words and the base path
-    assert calls["sweep"] == 132
+    # 66 paths, each swept once whether first met as a path or as a swapped
+    # word, and the base path
+    assert calls["sweep"] == 67
     # 66 paths, their 66 images and the corner path
     assert calls["area_cells"] == 133
+    # 66 paths and the base path
+    assert calls["dinv_pairs"] == 67
 
 
 def test_each_move_builds_one_swapped_word(monkeypatch):
@@ -154,6 +160,44 @@ def test_each_move_builds_one_swapped_word(monkeypatch):
     assert all(r.passed for r in results.values())
     # rank_difference_check reads the word that the direct deltas swapped
     assert built["words"] == results["rank-difference"].checked == 144
+
+
+def test_each_move_is_validated_once():
+    # apply_move is the one validator; region_counts and
+    # rank_difference_check call it after verify swapped the move, so both
+    # are memo hits
+    apply_move.cache_clear()
+    assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    info = apply_move.cache_info()
+    assert (info.misses, info.hits) == (144, 288)
+
+
+def _reversed_after_nne(params):
+    """A broken sweep: the image reversed, so not Dyck, on every word that
+    starts NNE except the corner path."""
+    corner = corner_path(params)
+    true_sweep = sweeplab.sweeping.sweep
+
+    def broken(word):
+        image = true_sweep(word)
+        if word.text.startswith("NNE") and word != corner:
+            return type(image)(image.steps[::-1], image.params)
+        return image
+
+    return broken
+
+
+def test_non_dyck_image_of_a_swapped_word_is_recorded(monkeypatch, capsys):
+    params = make_params(5, 3, 1)
+    monkeypatch.setattr(sweeplab.sweeping, "sweep", _reversed_after_nne(params))
+    results = run_checks(params)
+    by_name = {r.name: r for r in results}
+    assert not by_name["image-is-dyck"].passed
+    assert any(f.endswith(" direct=undefined") for f in by_name["area-recursion"].failures)
+    assert run_checks(params, jobs=2) == results
+    # a counterexample, not an input error
+    assert main(["verify", "--m", "5", "--n", "3"]) == 1
+    assert "FAIL area-recursion: " in capsys.readouterr().out
 
 
 @pytest.mark.skipif(
@@ -210,7 +254,8 @@ def test_broken_region_counts_are_caught(monkeypatch):
         counts = true_counts(word, move)
         return dataclasses.replace(counts, red_top_left=counts.red_top_left + 1)
 
-    # the deltas must see the patch through the region_counts memo
+    # verify reads both predicted deltas from the one region_counts call
+    # per move, resolved through the module, so it sees the patch
     monkeypatch.setattr(sweeplab.recursion, "region_counts", shifted)
     params = make_params(5, 3, 2)
     results = run_checks(params)
@@ -253,7 +298,6 @@ def test_region_counts_memo_keeps_pairs_apart():
     pairs = [(w, move) for w in all_dyck(7, 5, 1) for move in valid_moves(w)]
     fresh = {}
     for word, move in pairs:
-        region_counts.cache_clear()
         fresh[word, move] = region_counts(word, move)
     assert len(set(fresh.values())) > 1
     # consecutive calls share the word in enumeration order, and share the
