@@ -50,6 +50,7 @@ from .diagram import (
 from .sweeping import (
     GreenLine,
     green_line_rank,
+    green_line_ranks,
     image_start_rank,
     sweep,
     sweep_order,

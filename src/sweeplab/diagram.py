@@ -9,7 +9,10 @@ tests are integer interval tests, never geometry.
 
 For Dyck words every arrow stays inside rows 0..dmn-1.  Non-Dyck words are
 allowed too (their arrows dip below row 0), which is exactly what the row
-structure check detects.
+structure check detects.  That check walks the arrows once with one
+expected color per row, so it costs one slice compare and one slice write
+per arrow; the per-row segment lists of `PathDiagram.rows` are built only
+for the row queries (`segments_in_row`, `row_counts`, `attained_rows`).
 """
 
 from __future__ import annotations
@@ -110,10 +113,34 @@ def check_row_structure(diagram: PathDiagram) -> bool:
     blue counts agree.  What distinguishes Dyck words is that every
     nonempty row also *starts* red and ends blue; a word that dips below
     rank 0 produces a row (at a negative level) that starts blue.  Every
-    row some arrow crosses is scanned, down to the rows below row 0 that
+    row some arrow crosses is checked, down to the rows below row 0 that
     non-Dyck words reach.
+
+    The check is a state walk over the arrows in tuple order, the order
+    in which `rows` lists each row's segments, with one state per row: 0
+    while the row expects red, 1 while it expects blue.  A red arrow needs
+    every row it crosses at 0 and sets them to 1; a blue arrow needs them
+    at 1 and sets them to 0; every row must end at 0.  Each arrow reads
+    and writes its rows as one bytearray slice, so the cost is one step
+    per arrow and `rows` is never built.
     """
-    for segs in diagram.rows.values():
-        if [color for _, color in segs] != [RED, BLUE] * (len(segs) // 2):
-            return False
-    return True
+    arrows = diagram.arrows
+    if not arrows:
+        return True
+    m, n = diagram.params.m, diagram.params.n
+    starts = [a.start_rank for a in arrows]
+    low = min(starts) - n  # the lowest row a blue arrow can cross
+    state = bytearray(max(starts) + m - low)
+    zeros_m, ones_m = bytes(m), b"\x01" * m
+    zeros_n, ones_n = bytes(n), b"\x01" * n
+    for arrow, start in zip(arrows, starts):
+        r = start - low
+        if arrow.color == RED:
+            if state[r:r + m] != zeros_m:
+                return False
+            state[r:r + m] = ones_m
+        else:
+            if state[r - n:r] != ones_n:
+                return False
+            state[r - n:r] = zeros_n
+    return not any(state)

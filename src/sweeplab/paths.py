@@ -112,6 +112,10 @@ class StepWord:
     params: Params
 
     def __post_init__(self):
+        if type(self.steps) is not tuple:
+            raise BadLetter(
+                f"steps must be a tuple of N and E letters, got {type(self.steps).__name__}"
+            )
         dn, dm = self.params.north_count, self.params.east_count
         norths = self.steps.count(NORTH)
         easts = len(self.steps) - norths
@@ -136,9 +140,18 @@ class StepWord:
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
-        """The starting rank of each step; see start_ranks."""
+        """The starting rank of each step; see start_ranks.
+
+        Every letter, the last one included, is looked up here, so a
+        letter other than N and E raises BadLetter on first use; the
+        letter counts of __post_init__ take any non-North letter as East.
+        """
         step = {NORTH: self.params.m, EAST: -self.params.n}
-        return tuple(accumulate(map(step.__getitem__, self.steps[:-1]), initial=0))
+        try:
+            step[self.steps[-1]]  # adds no start rank, but is checked too
+            return tuple(accumulate(map(step.__getitem__, self.steps[:-1]), initial=0))
+        except KeyError as exc:
+            raise BadLetter(f"letter {exc.args[0]!r} is not N or E") from None
 
 
 _ALPHABET = {"N": NORTH, "E": EAST, "S": NORTH, "W": EAST}

@@ -189,44 +189,44 @@ def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
     return region_counts(word, move).dinv_delta
 
 
-def _image_rank(word: StepWord, keys: tuple[tuple[int, int], ...], step: int) -> int:
-    """Image start rank of `step`: b*m - a*n over the b North and a East
-    steps swept before it, in one pass over the word's sweep keys."""
-    m, n = word.params.m, word.params.n
-    ref = keys[step - 1]
-    return sum(
-        m if letter == NORTH else -n
-        for letter, key in zip(word.steps, keys)
-        if key < ref
-    )
-
-
 def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     """Verify the image-rank drop of the moved North step.
 
     rank(S) is the image start rank of the North step in the original
-    word, rank(S') that of its lowered replacement in the swapped word.
-    Their difference must be m*A - n*B where A up arrows and B down
-    arrows (the displayed pair excluded) have sweep keys strictly between
-    (k-n, p+1) and (k, p).
+    word, rank(S') that of its lowered replacement in the swapped word:
+    b*m - a*n over the b North and a East steps swept before it.  Their
+    difference must be m*A - n*B where A up arrows and B down arrows (the
+    displayed pair excluded) have sweep keys strictly between (k-n, p+1)
+    and (k, p).
+
+    rank(S') is read off the swapped word's own letters and sweep keys,
+    so the check does not lean on the original word for it.  One pass
+    over the two words side by side gives both ranks and the band sum
+    m*A - n*B.  The band lies below the North step's own key, which is
+    (k, p) itself once apply_move has checked the rank at p, so the band
+    is counted among the steps swept before it; and the displayed pair
+    needs no test of its own, since step p is the bound and step p+1
+    starts at k+m, above it.
     """
     swapped = apply_move(word, move)  # validates the move
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
 
-    keys = sweep_keys(word)
-    rank_before = _image_rank(word, keys, p)
-    rank_after = _image_rank(swapped, sweep_keys(swapped), p + 1)
-
-    low, high = sweep_key(k - n, p + 1), sweep_key(k, p)
-    ups = downs = 0
-    for c, (letter, key) in enumerate(zip(word.steps, keys), start=1):
-        if low < key < high and c != p and c != p + 1:
-            if letter == NORTH:
-                ups += 1
-            else:
-                downs += 1
-    return rank_before - rank_after == m * ups - n * downs
+    keys, swapped_keys = sweep_keys(word), sweep_keys(swapped)
+    high, low = keys[p - 1], sweep_key(k - n, p + 1)
+    after = swapped_keys[p]
+    rank_before = rank_after = band = 0
+    for letter, key, swapped_letter, swapped_key in zip(
+        word.steps, keys, swapped.steps, swapped_keys
+    ):
+        if key < high:
+            step = m if letter == NORTH else -n
+            rank_before += step
+            if low < key:
+                band += step
+        if swapped_key < after:
+            rank_after += m if swapped_letter == NORTH else -n
+    return rank_before - rank_after == band
 
 
 def _pick_move(word: StepWord, moves: list[RemovalMove], strategy: str) -> RemovalMove:

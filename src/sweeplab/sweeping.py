@@ -13,10 +13,12 @@ the word, and reads each column back off its key; the keys are distinct,
 so no sort key function is needed.
 
 `image_start_rank` reads a step's image rank off the swept word.
-`green_line_rank` recomputes it from the geometry of the stretched diagram
-alone: segment counts relative to the slope-epsilon line through the
-step's start.  It never consults the sweep order, so the two routes are
-independent and serve as mutual checks.
+`green_line_ranks` recomputes every step's image rank from the geometry of
+the stretched diagram alone: segment counts relative to the slope-epsilon
+line through each step's start.  It never consults the sweep order, so the
+two routes are independent and serve as mutual checks.  It counts a whole
+path in one call, pairwise over the arrows, so `verify` pays one call per
+path; `green_line_rank` reads one step off it.
 """
 
 from __future__ import annotations
@@ -79,28 +81,6 @@ class GreenLine:
         below the line; equivalent to being swept before the reference."""
         return self.strictly_below(rank, column - 1)
 
-    def segment_count(self, word: StepWord) -> int:
-        """A + B over the word's arrows (see green_line_rank).
-
-        The strictly_below test is inlined here, the hot loop of `verify`;
-        a test pins this count to one that calls start_strictly_below for
-        every arrow.  A start strictly below the line has rank <= level,
-        and any other start has rank >= level, which fixes the clipping.
-        """
-        level, x0 = self.level, self.x0
-        up_floor = level - word.params.m
-        down_ceiling = level + word.params.n
-        total = 0
-        for x, (letter, h) in enumerate(zip(word.steps, start_ranks(word))):
-            if h < level or (h == level and x > x0):
-                # rows [h, h+m) clipped to rows >= level
-                if h > up_floor and letter == NORTH:
-                    total += h - up_floor
-            # rows [h-n, h) clipped to rows <= level-1
-            elif h < down_ceiling and letter != NORTH:
-                total += down_ceiling - h
-        return total
-
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
     """Step positions (1-based) sorted into sweep order."""
@@ -129,11 +109,11 @@ def image_start_rank(word: StepWord, position_in_sweep: int) -> int:
     return start_ranks(sweep(word))[position_in_sweep - 1]
 
 
-def green_line_rank(word: StepWord, step: int) -> int:
-    """A step's image rank, recomputed by counting diagram segments
-    against the green line through the step's start.
+def green_line_ranks(word: StepWord) -> tuple[int, ...]:
+    """Every step's image rank, recomputed by counting diagram segments
+    against the green line through the step's start; in column order.
 
-    Let L be the step's start rank.  The count is A + B where
+    For the step in column s with start rank L, the count is A + B where
 
       A = segments in rows >= L of up arrows that start strictly below
           the line (swept strictly before the step), and
@@ -147,14 +127,54 @@ def green_line_rank(word: StepWord, step: int) -> int:
     and the blue deficit below is exactly B.
 
     "Swept before" is decided by the line alone, never by the sweep
-    order, so a sweep that disagrees with the geometry shows up as a
-    rank mismatch rather than being trusted.
+    order: the arrow at x-coordinate x with start rank h starts strictly
+    below the line through (s - 1, L) iff h < L, or h == L and x > s - 1
+    (GreenLine.strictly_below).  So a sweep that disagrees with the
+    geometry shows up as a rank mismatch rather than being trusted.
+
+    One call counts every step: len(word)**2 pairwise comparisons with
+    no function call per pair or per step.  A start strictly below the
+    line has rank <= L, and any other start has rank >= L, which fixes
+    the clipping of the arrow's rows against the line.
+
+    Read in sweep order, the counts are the start ranks of the image:
+
+    >>> from .paths import make_params, parse_word
+    >>> word = parse_word("NENEE", make_params(3, 2))
+    >>> green_line_ranks(word)
+    (0, 4, 3, 2, 6)
+    >>> counts = green_line_ranks(word)
+    >>> tuple(counts[step - 1] for step in sweep_order(word)) == start_ranks(sweep(word))
+    True
     """
     require_dyck(word)
+    m, n = word.params.m, word.params.n
+    arrows = tuple(enumerate(zip(word.steps, start_ranks(word))))
+    counts = []
+    for x0, (_, level) in arrows:
+        up_floor = level - m
+        down_ceiling = level + n
+        total = 0
+        for x, (letter, h) in arrows:
+            if h < level or (h == level and x > x0):
+                # rows [h, h+m) clipped to rows >= level
+                if h > up_floor and letter == NORTH:
+                    total += h - up_floor
+            # rows [h-n, h) clipped to rows <= level-1
+            elif h < down_ceiling and letter != NORTH:
+                total += down_ceiling - h
+        counts.append(total)
+    return tuple(counts)
+
+
+def green_line_rank(word: StepWord, step: int) -> int:
+    """The green-line count of one step (1-based); see green_line_ranks,
+    which it reads, so there is one way to count.  Costs a whole
+    green_line_ranks call."""
+    counts = green_line_ranks(word)
     if not 1 <= step <= len(word):
         raise IndexOutOfRange(f"step {step} outside 1..{len(word)}")
-    line = GreenLine(level=start_ranks(word)[step - 1], ref_column=step)
-    return line.segment_count(word)
+    return counts[step - 1]
 
 
 #: How many parameter sets keep an unsweep table; the least recently used

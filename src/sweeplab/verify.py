@@ -22,6 +22,12 @@ whose image is not Dyck fails the area recursion of that move.  Each move
 is validated and swapped once, and its band counts are counted once and
 give both predicted deltas.
 
+The supporting checks cost little per path.  One green_line_ranks call
+counts every step's green line at once, quadratic in the path length with
+no call per step; the row structure is one walk over the arrows with one
+expected color per row; and each move's rank difference is one pass over
+the word and its swapped word side by side.
+
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
 required, not merely a default: a forked worker inherits the caller's
@@ -114,8 +120,9 @@ def _word_failures(params, limit, lo, hi):
         if not diagram.check_row_structure(diagram.build_diagram(word)):
             note("row-structure", f"word={word.text}")
 
+        line_ranks = sweeping.green_line_ranks(word)
         for step, image_rank in zip(sweeping.sweep_order(word), paths.start_ranks(image)):
-            counted = sweeping.green_line_rank(word, step)
+            counted = line_ranks[step - 1]
             if counted != image_rank:
                 note(
                     "green-line-rank",

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from sweeplab import (
+    PathDiagram,
     RowOutOfRange,
+    StepWord,
     build_diagram,
     check_row_structure,
     is_dyck,
@@ -12,6 +16,26 @@ from sweeplab import (
 )
 from sweeplab.diagram import BLUE, RED
 from conftest import PARAM_SETS, all_dyck
+
+
+def rows_alternate(diagram):
+    """check_row_structure in list-compare form: every row's colors, as
+    PathDiagram.rows lists them, equal (red, blue) repeated."""
+    for segs in diagram.rows.values():
+        if [color for _, color in segs] != [RED, BLUE] * (len(segs) // 2):
+            return False
+    return True
+
+
+def arrangements(m, n, d):
+    """Every word with the letter counts of (m, n, d), Dyck or not."""
+    params = make_params(m, n, d)
+    length = params.step_count
+    for norths in itertools.combinations(range(length), params.north_count):
+        steps = ["E"] * length
+        for i in norths:
+            steps[i] = "N"
+        yield StepWord(tuple(steps), params)
 
 
 def _arrow_tuples(word_text, m, n, d=1):
@@ -138,6 +162,31 @@ class TestRowStructure:
         diagram = build_diagram(word)
         assert diagram.attained_rows().start == -1
         assert not check_row_structure(diagram)
+
+    def test_equals_the_list_compare_on_every_arrangement(self):
+        for (m, n, d) in PARAM_SETS:
+            outcomes = set()
+            for word in arrangements(m, n, d):
+                diagram = build_diagram(word)
+                assert check_row_structure(diagram) == rows_alternate(diagram), word.text
+                outcomes.add(check_row_structure(diagram))
+            assert outcomes == {True, False}
+
+    def test_any_arrows_in_any_order(self, p321):
+        # the walk reads the arrows in tuple order, as `rows` lists them;
+        # a selection of a word's arrows can leave a row unbalanced, and
+        # the empty selection passes
+        outcomes = set()
+        for text in ("NNEEE", "NEENE"):
+            arrows = build_diagram(parse_word(text, p321)).arrows
+            for size in range(len(arrows) + 1):
+                for order in itertools.permutations(arrows, size):
+                    diagram = PathDiagram(p321, order)
+                    outcome = check_row_structure(diagram)
+                    assert outcome == rows_alternate(diagram), order
+                    outcomes.add(outcome)
+        assert outcomes == {True, False}
+        assert check_row_structure(PathDiagram(p321, ()))
 
     def test_alternation_prefix_suffix_balance(self):
         # before any red segment the row holds equally many reds and

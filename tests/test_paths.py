@@ -61,6 +61,21 @@ class TestParseWord:
         with pytest.raises(BadLetter):
             parse_word("NXNEE", p321)
 
+    @pytest.mark.parametrize("steps", [("N", "X", "N", "E", "E"), ("N", "N", "E", "E", "X")])
+    def test_step_word_rejects_a_letter_on_first_use(self, p321, steps):
+        # the letter counts take any non-North letter as East; the ranks,
+        # which every operation reads, look up each letter, the last too
+        word = StepWord(steps, p321)
+        with pytest.raises(BadLetter):
+            start_ranks(word)
+
+    def test_step_word_needs_a_tuple(self, p321):
+        # a str would pass the letter counts but never equal the parsed word
+        with pytest.raises(BadLetter):
+            StepWord("NENEE", p321)
+        with pytest.raises(BadLetter):
+            StepWord(["N", "E", "N", "E", "E"], p321)
+
 
 class TestRanks:
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from sweeplab import (
     check_row_structure,
     count_dyck,
     dinv_pairs,
+    green_line_ranks,
     is_dyck,
     make_params,
     parse_word,
@@ -25,7 +26,9 @@ from sweeplab import (
 )
 from sweeplab.sweeping import sweep_key
 from conftest import all_dyck
+from test_diagram import rows_alternate
 from test_stats import area_by_cells, dinv_by_pairs
+from test_sweep import _green_line_count
 
 params_pool = st.sampled_from(
     [
@@ -143,6 +146,18 @@ def test_kernels_equal_the_references_beyond_enumeration(word):
     assert is_dyck(word)
     assert area_cells(word) == area_by_cells(word)
     assert dinv_pairs(word) == dinv_by_pairs(word)
+
+
+@given(long_dyck_words())
+def test_green_line_ranks_equal_the_per_arrow_count_beyond_enumeration(word):
+    counts = green_line_ranks(word)
+    assert counts == tuple(_green_line_count(word, s) for s in range(1, len(word) + 1))
+
+
+@given(arrangements())
+def test_row_walk_equals_the_list_compare(word):
+    diagram = build_diagram(word)
+    assert check_row_structure(diagram) == rows_alternate(diagram) == is_dyck(word)
 
 
 @given(arrangements())

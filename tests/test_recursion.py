@@ -1,5 +1,6 @@
 import pytest
 
+import sweeplab.recursion
 from sweeplab import (
     FIRST_VALID,
     SWEEP_LATEST_EAST,
@@ -24,7 +25,42 @@ from sweeplab import (
     sweep,
     valid_moves,
 )
-from conftest import PARAM_SETS, all_dyck
+from sweeplab.paths import NORTH
+from sweeplab.sweeping import sweep_key, sweep_keys
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck
+
+
+def _image_rank(word, keys, step):
+    """Image start rank of `step`: b*m - a*n over the b North and a East
+    steps swept before it."""
+    m, n = word.params.m, word.params.n
+    ref = keys[step - 1]
+    return sum(
+        m if letter == NORTH else -n
+        for letter, key in zip(word.steps, keys)
+        if key < ref
+    )
+
+
+def rank_difference_by_passes(word, move):
+    """rank_difference_check in three passes: each image rank over its own
+    word's keys, then the band census with the displayed pair skipped by
+    column."""
+    swapped = sweeplab.recursion.apply_move(word, move)
+    m, n = word.params.m, word.params.n
+    p, k = move.position, move.level
+    keys = sweep_keys(word)
+    rank_before = _image_rank(word, keys, p)
+    rank_after = _image_rank(swapped, sweep_keys(swapped), p + 1)
+    low, high = sweep_key(k - n, p + 1), sweep_key(k, p)
+    ups = downs = 0
+    for c, (letter, key) in enumerate(zip(word.steps, keys), start=1):
+        if low < key < high and c != p and c != p + 1:
+            if letter == NORTH:
+                ups += 1
+            else:
+                downs += 1
+    return rank_before - rank_after == m * ups - n * downs
 
 
 class TestValidMoves:
@@ -175,6 +211,21 @@ class TestRankDifference:
             for word in all_dyck(m, n, d):
                 for move in valid_moves(word):
                     assert rank_difference_check(word, move)
+
+    def test_equals_the_three_pass_form(self, monkeypatch):
+        moves = [(word, move) for (m, n, d) in WIDE_SETS
+                 for word in all_dyck(m, n, d) for move in valid_moves(word)]
+        for word, move in moves:
+            assert rank_difference_check(word, move) == rank_difference_by_passes(
+                word, move
+            ), (word.text, move)
+        # the same with the swap left out, so that rank(S') is read off the
+        # unswapped word: the identity then fails on most moves, and the
+        # two forms must still agree move by move
+        monkeypatch.setattr(sweeplab.recursion, "apply_move", lambda word, move: word)
+        outcomes = [rank_difference_check(word, move) for word, move in moves]
+        assert outcomes == [rank_difference_by_passes(word, move) for word, move in moves]
+        assert set(outcomes) == {True, False}
 
     def test_rank_drop_against_independent_band_count(self):
         # recompute both sides from scratch: image ranks read off the

@@ -8,6 +8,7 @@ from sweeplab import (
     base_path,
     corner_path,
     green_line_rank,
+    green_line_ranks,
     image_start_rank,
     is_dyck,
     make_params,
@@ -19,7 +20,7 @@ from sweeplab import (
 )
 import sweeplab.sweeping
 from sweeplab.sweeping import sweep_key, sweep_keys
-from conftest import PARAM_SETS, all_dyck
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
 class TestSweepOrder:
@@ -171,14 +172,29 @@ class TestGreenLine:
 
     def test_equals_the_per_arrow_count(self):
         # includes the d > 1 sets, where a start can tie the line's level
-        for (m, n, d) in PARAM_SETS:
+        for (m, n, d) in WIDE_SETS:
             for word in all_dyck(m, n, d):
-                for step in range(1, len(word) + 1):
-                    assert green_line_rank(word, step) == _green_line_count(word, step)
+                counts = green_line_ranks(word)
+                assert counts == tuple(
+                    _green_line_count(word, step) for step in range(1, len(word) + 1)
+                ), word.text
+
+    def test_one_step_reads_the_whole_count(self):
+        for word in all_dyck(3, 2, 2):
+            counts = green_line_ranks(word)
+            for step in range(1, len(word) + 1):
+                assert green_line_rank(word, step) == counts[step - 1]
 
     def test_requires_dyck(self, p321):
         with pytest.raises(NotDyck):
             green_line_rank(parse_word("NEENE", p321), 1)
+        with pytest.raises(NotDyck):
+            green_line_ranks(parse_word("NEENE", p321))
+
+    def test_step_out_of_range(self, p321):
+        for step in (0, 6):
+            with pytest.raises(IndexOutOfRange):
+                green_line_rank(parse_word("NENEE", p321), step)
 
 
 class TestKeyOrder:

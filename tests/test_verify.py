@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import sweeplab.diagram
 import sweeplab.paths
 import sweeplab.recursion
 import sweeplab.stats
@@ -135,7 +136,10 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
     count_calls(sweeplab.sweeping, "sweep")
     count_calls(sweeplab.stats, "area_cells")
     count_calls(sweeplab.stats, "dinv_pairs")
+    count_calls(sweeplab.sweeping, "green_line_ranks")
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    # one green-line count per path covers all of its steps
+    assert calls["green_line_ranks"] == 66
     # 66 paths, each swept once whether first met as a path or as a swapped
     # word, and the base path
     assert calls["sweep"] == 67
@@ -328,15 +332,56 @@ def test_area_cells_does_not_share_the_ranks_of_the_formula(monkeypatch):
 
 
 def test_broken_green_line_is_caught(monkeypatch):
-    true_rank = sweeplab.sweeping.green_line_rank
+    true_ranks = sweeplab.sweeping.green_line_ranks
     monkeypatch.setattr(
-        sweeplab.sweeping, "green_line_rank", lambda w, s: true_rank(w, s) + 1
+        sweeplab.sweeping, "green_line_ranks",
+        lambda w: tuple(rank + 1 for rank in true_ranks(w)),
     )
     results = {r.name: r for r in run_checks(make_params(3, 2, 1))}
     assert not results["green-line-rank"].passed
     assert "word=" in results["green-line-rank"].failures[0]
     # everything else still passes
     assert all(r.passed for name, r in results.items() if name != "green-line-rank")
+
+
+def _starts_ne(word):
+    return word.text.startswith("NE")
+
+
+def _assert_only_failures(params, check, expected):
+    """run_checks fails `check` alone, with exactly `expected` in order,
+    and jobs 2 agrees with jobs 1."""
+    assert expected
+    results = run_checks(params)
+    by_name = {r.name: r for r in results}
+    assert list(by_name[check].failures) == expected
+    assert all(r.passed for name, r in by_name.items() if name != check)
+    assert run_checks(params, jobs=2) == results
+
+
+def test_broken_row_structure_is_caught(monkeypatch):
+    true_check = sweeplab.diagram.check_row_structure
+    red, blue = sweeplab.diagram.RED, sweeplab.diagram.BLUE
+
+    def broken(diagram):
+        # the diagram of a word starting NE opens with a red, then a blue arrow
+        colors = tuple(a.color for a in diagram.arrows[:2])
+        return colors != (red, blue) and true_check(diagram)
+
+    monkeypatch.setattr(sweeplab.diagram, "check_row_structure", broken)
+    expected = [f"word={w.text}" for w in all_dyck(7, 5, 1) if _starts_ne(w)]
+    _assert_only_failures(make_params(7, 5, 1), "row-structure", expected)
+
+
+def test_broken_rank_difference_is_caught(monkeypatch):
+    true_check = sweeplab.recursion.rank_difference_check
+    monkeypatch.setattr(
+        sweeplab.recursion, "rank_difference_check",
+        lambda word, move: not _starts_ne(word) and true_check(word, move),
+    )
+    expected = [f"word={w.text} p={move.position}"
+                for w in all_dyck(7, 5, 1) if _starts_ne(w) for move in valid_moves(w)]
+    _assert_only_failures(make_params(7, 5, 1), "rank-difference", expected)
 
 
 def test_broken_sweep_breaks_bijectivity(monkeypatch):
