@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  The environment variable
 SWEEPLAB_LIMIT overrides the default enumeration cap; --limit, taken only
 by the commands that enumerate, overrides both.  Either must be a positive
-integer; anything else exits 4, as does an --out FILE that cannot be opened.
+integer, and so must --jobs; anything else exits 4, as does an --out FILE
+that cannot be opened.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def _build_parser() -> _Parser:
         type=int,
         default=1,
         help="forked worker processes for the per-path checks (default 1); "
-        "clamped to the available CPUs and the path count, serial where "
-        "fork is unavailable",
+        "a positive integer, clamped to the available CPUs and the path "
+        "count, serial where fork is unavailable",
     )
 
     p = sub.add_parser("table", help="joint (area, dinv) distribution")

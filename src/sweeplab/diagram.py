@@ -64,8 +64,12 @@ class PathDiagram:
         return rows
 
     def attained_rows(self) -> range:
-        """Rows touched by at least one arrow; [0, dmn) for Dyck words."""
-        return range(min(self.rows), max(self.rows) + 1)
+        """Rows touched by at least one arrow; [0, dmn) for Dyck words, and
+        empty for a diagram without arrows."""
+        rows = self.rows
+        if not rows:
+            return range(0)
+        return range(min(rows), max(rows) + 1)
 
 
 @dataclass(frozen=True)

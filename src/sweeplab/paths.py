@@ -112,16 +112,18 @@ class StepWord:
     params: Params
 
     def __post_init__(self):
-        if type(self.steps) is not tuple:
+        steps, params = self.steps, self.params
+        if type(steps) is not tuple:
             raise BadLetter(
-                f"steps must be a tuple of N and E letters, got {type(self.steps).__name__}"
+                f"steps must be a tuple of N and E letters, got {type(steps).__name__}"
             )
-        dn, dm = self.params.north_count, self.params.east_count
-        norths = self.steps.count(NORTH)
-        easts = len(self.steps) - norths
-        if norths != dn or easts != dm:
+        # every word is recounted, images and swapped words too: a sweep
+        # order that is no permutation is caught only here
+        norths = steps.count(NORTH)
+        if norths != params.d * params.n or len(steps) - norths != params.d * params.m:
             raise BadCounts(
-                f"word needs {dn} N and {dm} E letters, got {norths} N and {easts} E"
+                f"word needs {params.north_count} N and {params.east_count} E letters, "
+                f"got {norths} N and {len(steps) - norths} E"
             )
 
     @property

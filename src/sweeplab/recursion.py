@@ -133,34 +133,35 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     encode the slope-epsilon sweep lines through the display vertices, so
     they are exactly right for tied ranks (d > 1) as well.
 
-    The move is validated by apply_move.  `verify` calls this once per
-    move and reads both predicted deltas from the result.
+    Two slice loops count the bands: one over the columns left of p, one
+    over those right of p+1, so no column is tested for its side.  Within
+    a side each letter's bands are disjoint rank intervals.  The move is
+    validated by apply_move.  `verify` calls this once per move and reads
+    both predicted deltas from the result.
     """
     apply_move(word, move)
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
     ranks = start_ranks(word)
 
-    red_top_left = blue_top_left = red_top_right = 0
-    blue_bottom_left = blue_bottom_right = red_bottom_right = 0
-    for c, letter in enumerate(word.steps, start=1):
-        if c in (p, p + 1):
-            continue
-        r = ranks[c - 1]
+    red_top_left = blue_top_left = blue_bottom_left = 0
+    for letter, r in zip(word.steps[:p - 1], ranks[:p - 1]):
         if letter == NORTH:
-            if c < p and k <= r < k + m:
+            if k <= r < k + m:
                 red_top_left += 1
-            if c > p + 1 and k < r <= k + m:
+        elif k + m <= r < k + m + n:
+            blue_top_left += 1
+        elif k - n <= r < k:
+            blue_bottom_left += 1
+    red_top_right = red_bottom_right = blue_bottom_right = 0
+    for letter, r in zip(word.steps[p + 1:], ranks[p + 1:]):
+        if letter == NORTH:
+            if k < r <= k + m:
                 red_top_right += 1
-            if c > p + 1 and k - n - m < r <= k - n:
+            elif k - n - m < r <= k - n:
                 red_bottom_right += 1
-        else:
-            if c < p and k + m <= r < k + m + n:
-                blue_top_left += 1
-            if c < p and k - n <= r < k:
-                blue_bottom_left += 1
-            if c > p + 1 and k - n < r <= k:
-                blue_bottom_right += 1
+        elif k - n < r <= k:
+            blue_bottom_right += 1
     return RegionCounts(
         red_top_left,
         blue_top_left,

@@ -7,18 +7,18 @@ slope, so within one level the line meets the rightmost start first.  The
 key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
-`sweep_key` is the one definition of that order.  `sweep_order` sorts the
-keys of all steps at once, reading the start ranks that `paths` caches on
-the word, and reads each column back off its key; the keys are distinct,
-so no sort key function is needed.
+`sweep_key` is the one definition of that order.  `sweep_order` realizes
+it with one stable sort of the columns, listed right to left, by the start
+ranks that `paths` caches on the word: equal ranks keep their input order,
+which is rightmost first, so no key tuple is built.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of
 the stretched diagram alone: segment counts relative to the slope-epsilon
 line through each step's start.  It never consults the sweep order, so the
 two routes are independent and serve as mutual checks.  It counts a whole
-path in one call, pairwise over the arrows, so `verify` pays one call per
-path; `green_line_rank` reads one step off it.
+path in one call, one pass over the arrows in its own line order, so
+`verify` pays one call per path; `green_line_rank` reads one step off it.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ def sweep_keys(word: StepWord) -> tuple[tuple[int, int], ...]:
     """sweep_key(rank, column) of every step, in column order, so step a is
     swept before step b iff keys[a - 1] < keys[b - 1].
 
-    Built in one pass without a call per step, since every sweep and every
-    rank-difference check needs all of them; the tests pin each entry to
-    sweep_key.
+    Built in one pass without a call per step, since every rank-difference
+    check needs all of them; the tests pin each entry to sweep_key.
     """
     return tuple(zip(start_ranks(word), range(-1, -len(word) - 1, -1)))
 
@@ -83,8 +82,14 @@ class GreenLine:
 
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
-    """Step positions (1-based) sorted into sweep order."""
-    return tuple([-c for _, c in sorted(sweep_keys(word))])
+    """Step positions (1-based) sorted into sweep order.
+
+    One stable sort of the columns, right to left, by start rank: columns
+    of equal rank keep their input order, rightmost first, which is the
+    order of sweep_key.
+    """
+    ranks = (None, *start_ranks(word))  # indexed by column
+    return tuple(sorted(range(len(word), 0, -1), key=ranks.__getitem__))
 
 
 def sweep(word: StepWord) -> StepWord:
@@ -132,10 +137,14 @@ def green_line_ranks(word: StepWord) -> tuple[int, ...]:
     (GreenLine.strictly_below).  So a sweep that disagrees with the
     geometry shows up as a rank mismatch rather than being trusted.
 
-    One call counts every step: len(word)**2 pairwise comparisons with
-    no function call per pair or per step.  A start strictly below the
-    line has rank <= L, and any other start has rank >= L, which fixes
-    the clipping of the arrow's rows against the line.
+    One call counts every step in one pass over the arrows sorted by
+    (h, -x), which is the order of that predicate: the arrows strictly
+    below a step's line are exactly those before it.  Along that order the
+    level never falls, so the up arrows of A (earlier, h > L - m) and the
+    down arrows of B (this one or later, h < L + n) each form a window
+    that only moves forward; a running count and level sum of each window
+    give A and B without visiting the arrows again.  The cost is the sort,
+    O(k log k) for a word of k steps, with no function call per step.
 
     Read in sweep order, the counts are the start ranks of the image:
 
@@ -149,21 +158,35 @@ def green_line_ranks(word: StepWord) -> tuple[int, ...]:
     """
     require_dyck(word)
     m, n = word.params.m, word.params.n
-    arrows = tuple(enumerate(zip(word.steps, start_ranks(word))))
-    counts = []
-    for x0, (_, level) in arrows:
+    length = len(word)
+    # (h, -x, letter) of every arrow, in the order of the line predicate
+    arrows = sorted(zip(start_ranks(word), range(0, -length, -1), word.steps))
+    downs = [h for h, _, letter in arrows if letter != NORTH]
+    ups: list[int] = []  # levels of the up arrows passed so far
+    up_lo = up_sum = 0  # A's window ups[up_lo:] and its level sum
+    down_lo = down_hi = down_sum = 0  # B's window downs[down_lo:down_hi]
+    counts = [0] * length
+    for level, neg_x, letter in arrows:
+        # rows [h, h+m) of earlier up arrows, clipped to rows >= level
         up_floor = level - m
+        while up_lo < len(ups) and ups[up_lo] <= up_floor:
+            up_sum -= ups[up_lo]
+            up_lo += 1
+        # rows [h-n, h) of this and later down arrows, clipped to rows <= level-1
         down_ceiling = level + n
-        total = 0
-        for x, (letter, h) in arrows:
-            if h < level or (h == level and x > x0):
-                # rows [h, h+m) clipped to rows >= level
-                if h > up_floor and letter == NORTH:
-                    total += h - up_floor
-            # rows [h-n, h) clipped to rows <= level-1
-            elif h < down_ceiling and letter != NORTH:
-                total += down_ceiling - h
-        counts.append(total)
+        while down_hi < len(downs) and downs[down_hi] < down_ceiling:
+            down_sum += downs[down_hi]
+            down_hi += 1
+        counts[-neg_x] = (
+            up_sum - (len(ups) - up_lo) * up_floor
+            + (down_hi - down_lo) * down_ceiling - down_sum
+        )
+        if letter == NORTH:
+            ups.append(level)
+            up_sum += level
+        else:
+            down_sum -= level
+            down_lo += 1
     return tuple(counts)
 
 

@@ -23,10 +23,10 @@ is validated and swapped once, and its band counts are counted once and
 give both predicted deltas.
 
 The supporting checks cost little per path.  One green_line_ranks call
-counts every step's green line at once, quadratic in the path length with
-no call per step; the row structure is one walk over the arrows with one
-expected color per row; and each move's rank difference is one pass over
-the word and its swapped word side by side.
+counts every step's green line at once, one sort and one pass over the
+arrows with no call per step; the row structure is one walk over the
+arrows with one expected color per row; and each move's rank difference
+is one pass over the word and its swapped word side by side.
 
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
@@ -241,8 +241,11 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     count is jobs clamped to the available CPUs and to the path count; with
     one worker, or without `fork`, the pass runs in this process.  A fork
     copies only the calling thread, so pass jobs > 1 only from a process
-    that runs no other threads.
+    that runs no other threads.  Raises ValueError, before any work, when
+    jobs or an explicit limit is not a positive integer.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     paths.enumerate_dyck(params, limit)  # checks the limit before any work
     path_count = paths.count_dyck(params)
     workers = _worker_count(jobs, path_count)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import os
 from pathlib import Path
 
@@ -31,6 +32,17 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @functools.lru_cache(maxsize=None)
 def all_dyck(m: int, n: int, d: int) -> tuple[StepWord, ...]:
     return tuple(enumerate_dyck(make_params(m, n, d)))
+
+
+def arrangements(m: int, n: int, d: int):
+    """Every word with the letter counts of (m, n, d), Dyck or not."""
+    params = make_params(m, n, d)
+    length = params.step_count
+    for norths in itertools.combinations(range(length), params.north_count):
+        steps = ["E"] * length
+        for i in norths:
+            steps[i] = "N"
+        yield StepWord(tuple(steps), params)
 
 
 def golden_bytes(name: str) -> bytes:

@@ -304,6 +304,13 @@ class TestUsageErrors:
                 assert main(argv) == 4
                 assert "positive integer" in capsys.readouterr().err
 
+    def test_non_positive_jobs_exit_4(self, capsys):
+        for jobs in ("0", "-3"):
+            assert main(["verify", "--m", "3", "--n", "2", "--jobs", jobs]) == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "jobs must be a positive integer" in err
+
     @pytest.mark.parametrize(
         "command", [["stats", "NENEE"], ["sweep", "NENEE"], ["render", "NENEE"]]
     )

@@ -5,7 +5,6 @@ import pytest
 from sweeplab import (
     PathDiagram,
     RowOutOfRange,
-    StepWord,
     build_diagram,
     check_row_structure,
     is_dyck,
@@ -15,7 +14,7 @@ from sweeplab import (
     segments_in_row,
 )
 from sweeplab.diagram import BLUE, RED
-from conftest import PARAM_SETS, all_dyck
+from conftest import PARAM_SETS, all_dyck, arrangements
 
 
 def rows_alternate(diagram):
@@ -25,17 +24,6 @@ def rows_alternate(diagram):
         if [color for _, color in segs] != [RED, BLUE] * (len(segs) // 2):
             return False
     return True
-
-
-def arrangements(m, n, d):
-    """Every word with the letter counts of (m, n, d), Dyck or not."""
-    params = make_params(m, n, d)
-    length = params.step_count
-    for norths in itertools.combinations(range(length), params.north_count):
-        steps = ["E"] * length
-        for i in norths:
-            steps[i] = "N"
-        yield StepWord(tuple(steps), params)
 
 
 def _arrow_tuples(word_text, m, n, d=1):
@@ -187,6 +175,10 @@ class TestRowStructure:
                     outcomes.add(outcome)
         assert outcomes == {True, False}
         assert check_row_structure(PathDiagram(p321, ()))
+
+    def test_empty_diagram_attains_no_row(self, p321):
+        # the row walk accepts this diagram (above); it has no row to report
+        assert PathDiagram(p321, ()).attained_rows() == range(0)
 
     def test_alternation_prefix_suffix_balance(self):
         # before any red segment the row holds equally many reds and

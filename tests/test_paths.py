@@ -77,6 +77,24 @@ class TestParseWord:
             StepWord(["N", "E", "N", "E", "E"], p321)
 
 
+    def test_error_messages(self, p321):
+        with pytest.raises(BadCounts) as exc:
+            parse_word("NNEE", p321)
+        assert str(exc.value) == "word needs 2 N and 3 E letters, got 2 N and 2 E"
+        with pytest.raises(BadCounts) as exc:
+            StepWord(("N", "N", "N", "E", "E"), p321)
+        assert str(exc.value) == "word needs 2 N and 3 E letters, got 3 N and 2 E"
+        with pytest.raises(BadLetter) as exc:
+            StepWord("NENEE", p321)
+        assert str(exc.value) == "steps must be a tuple of N and E letters, got str"
+        with pytest.raises(BadLetter) as exc:
+            parse_word("NXNEE", p321)
+        assert str(exc.value) == "letter 'X' is not one of N, E, S, W"
+        with pytest.raises(BadLetter) as exc:
+            start_ranks(StepWord(("N", "X", "N", "E", "E"), p321))
+        assert str(exc.value) == "letter 'X' is not N or E"
+
+
 class TestRanks:
     @pytest.mark.parametrize(
         "text,m,n,d,expected",

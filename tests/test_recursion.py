@@ -6,6 +6,7 @@ from sweeplab import (
     SWEEP_LATEST_EAST,
     InvalidMove,
     NotDyck,
+    RegionCounts,
     RemovalMove,
     apply_move,
     area_cells,
@@ -22,6 +23,7 @@ from sweeplab import (
     reduce_to_base,
     region_counts,
     south_end_ranks,
+    start_ranks,
     sweep,
     valid_moves,
 )
@@ -61,6 +63,42 @@ def rank_difference_by_passes(word, move):
             else:
                 downs += 1
     return rank_before - rank_after == m * ups - n * downs
+
+
+def region_counts_by_one_loop(word, move):
+    """region_counts in its single-loop form: one pass over every column,
+    each tested for its side of the displayed pair."""
+    m, n = word.params.m, word.params.n
+    p, k = move.position, move.level
+    ranks = start_ranks(word)
+    red_top_left = blue_top_left = red_top_right = 0
+    blue_bottom_left = blue_bottom_right = red_bottom_right = 0
+    for c, letter in enumerate(word.steps, start=1):
+        if c in (p, p + 1):
+            continue
+        r = ranks[c - 1]
+        if letter == NORTH:
+            if c < p and k <= r < k + m:
+                red_top_left += 1
+            if c > p + 1 and k < r <= k + m:
+                red_top_right += 1
+            if c > p + 1 and k - n - m < r <= k - n:
+                red_bottom_right += 1
+        else:
+            if c < p and k + m <= r < k + m + n:
+                blue_top_left += 1
+            if c < p and k - n <= r < k:
+                blue_bottom_left += 1
+            if c > p + 1 and k - n < r <= k:
+                blue_bottom_right += 1
+    return RegionCounts(
+        red_top_left,
+        blue_top_left,
+        red_top_right,
+        blue_bottom_left,
+        blue_bottom_right,
+        red_bottom_right,
+    )
 
 
 class TestValidMoves:
@@ -146,6 +184,14 @@ class TestRegionCounts:
         word = parse_word("NNEE", p112)
         rc = region_counts(word, valid_moves(word)[0])
         assert rc == type(rc)(0, 0, 0, 0, 1, 0)
+
+    def test_equals_the_one_loop_form(self):
+        for (m, n, d) in WIDE_SETS:
+            for word in all_dyck(m, n, d):
+                for move in valid_moves(word):
+                    assert region_counts(word, move) == region_counts_by_one_loop(
+                        word, move
+                    ), (word.text, move)
 
     def test_corner_path_left_bands_empty(self):
         # on the corner path nothing sits in the bands left of the single

@@ -20,7 +20,7 @@ from sweeplab import (
 )
 import sweeplab.sweeping
 from sweeplab.sweeping import sweep_key, sweep_keys
-from conftest import PARAM_SETS, WIDE_SETS, all_dyck
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck, arrangements
 
 
 class TestSweepOrder:
@@ -46,6 +46,15 @@ class TestSweepOrder:
                 assert sweep_keys(word) == tuple(
                     sweep_key(ranks[c - 1], c) for c in columns
                 )
+
+    def test_equals_the_keyed_sort_on_every_arrangement(self):
+        # non-Dyck words included: negative ranks, and tied ranks for d > 1
+        for (m, n, d) in PARAM_SETS:
+            for word in arrangements(m, n, d):
+                ranks = start_ranks(word)
+                columns = range(1, len(word) + 1)
+                expected = sorted(columns, key=lambda c: sweep_key(ranks[c - 1], c))
+                assert sweep_order(word) == tuple(expected), word.text
 
     def test_no_ties_when_coprime(self):
         for (m, n, d) in PARAM_SETS:

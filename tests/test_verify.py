@@ -92,6 +92,17 @@ def test_jobs_are_clamped(monkeypatch):
     assert len(requested) == 1  # no fork, no pool
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_non_positive_jobs_are_refused_before_any_work(jobs, monkeypatch):
+    # the same ValueError as a non-positive limit, so the CLI exits 4
+    def no_enumeration(params, limit=None):
+        raise AssertionError("enumerated before the jobs check")
+
+    monkeypatch.setattr(sweeplab.paths, "enumerate_dyck", no_enumeration)
+    with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        run_checks(make_params(3, 2, 1), jobs=jobs)
+
+
 def test_import_does_not_load_multiprocessing():
     proc = subprocess.run(
         [sys.executable, "-c",
