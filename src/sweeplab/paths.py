@@ -210,11 +210,12 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     then the remaining East steps), so the search has no dead ends.
 
     Raises LimitExceeded when d(m+n) exceeds `limit` (default: the value
-    of step_limit()), and ValueError when `limit` is not positive.
+    of step_limit()), and ValueError when `limit` is not a positive int
+    (a bool or float is refused, as Params refuses them).
     """
     if limit is None:
         limit = step_limit()
-    elif limit < 1:
+    elif type(limit) is not int or limit < 1:
         raise ValueError(f"limit must be a positive integer, got {limit!r}")
     if params.step_count > limit:
         raise LimitExceeded(

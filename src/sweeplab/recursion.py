@@ -36,7 +36,7 @@ from .paths import (
     require_dyck,
     start_ranks,
 )
-from .sweeping import sweep_key, sweep_keys
+from .sweeping import sweep_key
 from .stats import area_cells
 
 FIRST_VALID = "first-valid"
@@ -197,35 +197,37 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     word, rank(S') that of its lowered replacement in the swapped word:
     b*m - a*n over the b North and a East steps swept before it.  Their
     difference must be m*A - n*B where A up arrows and B down arrows (the
-    displayed pair excluded) have sweep keys strictly between (k-n, p+1)
-    and (k, p).
+    displayed pair excluded) are swept strictly between (k-n, p+1) and
+    (k, p).
 
-    rank(S') is read off the swapped word's own letters and sweep keys,
-    so the check does not lean on the original word for it.  One pass
-    over the two words side by side gives both ranks and the band sum
-    m*A - n*B.  The band lies below the North step's own key, which is
-    (k, p) itself once apply_move has checked the rank at p, so the band
-    is counted among the steps swept before it; and the displayed pair
-    needs no test of its own, since step p is the bound and step p+1
-    starts at k+m, above it.
+    Every sweep comparison is a plain rank/column test, the order of
+    sweep_key: the step at column c with start rank r is swept before
+    (k, p) iff r < k, or r == k and c > p (GreenLine.strictly_below), and
+    after (k-n, p+1) iff r > k-n, or r == k-n and c <= p.  rank(S') is
+    read off the swapped word's own letters and ranks, against its own
+    rank at column p+1, so the check does not lean on the original word
+    for it.  One pass over the two words side by side gives both ranks
+    and the band sum m*A - n*B.  The band is counted among the steps swept
+    before (k, p), which is the North step's own place once apply_move has
+    checked the rank at p; the displayed pair needs no test of its own,
+    since step p is the bound and step p+1 starts at k+m, above it.
     """
     swapped = apply_move(word, move)  # validates the move
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
-
-    keys, swapped_keys = sweep_keys(word), sweep_keys(swapped)
-    high, low = keys[p - 1], sweep_key(k - n, p + 1)
-    after = swapped_keys[p]
+    low = k - n
+    swapped_ranks = start_ranks(swapped)
+    after = swapped_ranks[p]
     rank_before = rank_after = band = 0
-    for letter, key, swapped_letter, swapped_key in zip(
-        word.steps, keys, swapped.steps, swapped_keys
+    for column, (letter, r, swapped_letter, swapped_r) in enumerate(
+        zip(word.steps, start_ranks(word), swapped.steps, swapped_ranks), start=1
     ):
-        if key < high:
+        if r < k or (r == k and column > p):
             step = m if letter == NORTH else -n
             rank_before += step
-            if low < key:
+            if r > low or (r == low and column <= p):
                 band += step
-        if swapped_key < after:
+        if swapped_r < after or (swapped_r == after and column > p + 1):
             rank_after += m if swapped_letter == NORTH else -n
     return rank_before - rank_after == band
 
@@ -233,21 +235,21 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
 def _pick_move(word: StepWord, moves: list[RemovalMove], strategy: str) -> RemovalMove:
     if strategy == FIRST_VALID:
         return moves[0]
-    if strategy == SWEEP_LATEST_EAST:
-        # The East step at p+1 starts at level k+m; latest in sweep order
-        # means highest rank, ties to the smaller column.
-        m = word.params.m
-        return max(moves, key=lambda mv: (mv.level + m, -(mv.position + 1)))
-    raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
+    # SWEEP_LATEST_EAST: the East step at p+1 starts at level k+m
+    m = word.params.m
+    return max(moves, key=lambda mv: sweep_key(mv.level + m, mv.position + 1))
 
 
 def reduce_to_base(word: StepWord, strategy: str = FIRST_VALID) -> list[RemovalMove]:
     """A chain of valid moves from `word` down to the area-0 base path.
 
-    The chain length always equals the word's area.  Raises
-    NoMoveAvailable if a positive-area word offers no move, which would
-    mean the library is inconsistent.
+    The chain length always equals the word's area.  Raises ValueError,
+    before any move, for a strategy not in STRATEGIES, and NoMoveAvailable
+    if a positive-area word offers no move, which would mean the library
+    is inconsistent.
     """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
     chain: list[RemovalMove] = []
     current = word
     while True:

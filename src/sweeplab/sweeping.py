@@ -10,7 +10,10 @@ point epsilon is ever used.
 `sweep_key` is the one definition of that order.  `sweep_order` realizes
 it with one stable sort of the columns, listed right to left, by the start
 ranks that `paths` caches on the word: equal ranks keep their input order,
-which is rightmost first, so no key tuple is built.
+which is rightmost first, so no key tuple is built.  Code that only asks
+whether one step is swept before another compares plain ranks and columns:
+the step at column c with start rank r comes before the one at column c'
+with rank r' iff r < r', or r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of
@@ -39,18 +42,12 @@ from .paths import (
 
 def sweep_key(rank: int, column: int) -> tuple[int, int]:
     """Sort key realizing the sweep order: rank ascending, then rightmost
-    column first within a level."""
-    return (rank, -column)
+    column first within a level.
 
-
-def sweep_keys(word: StepWord) -> tuple[tuple[int, int], ...]:
-    """sweep_key(rank, column) of every step, in column order, so step a is
-    swept before step b iff keys[a - 1] < keys[b - 1].
-
-    Built in one pass without a call per step, since every rank-difference
-    check needs all of them; the tests pin each entry to sweep_key.
+    sweep_key(r, c) < sweep_key(r', c') iff r < r', or r == r' and c > c';
+    this rank/column test is what the move checks inline, step by step.
     """
-    return tuple(zip(start_ranks(word), range(-1, -len(word) - 1, -1)))
+    return (rank, -column)
 
 
 @dataclass(frozen=True)

@@ -242,9 +242,10 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     one worker, or without `fork`, the pass runs in this process.  A fork
     copies only the calling thread, so pass jobs > 1 only from a process
     that runs no other threads.  Raises ValueError, before any work, when
-    jobs or an explicit limit is not a positive integer.
+    jobs or an explicit limit is not a positive int; a bool or a float is
+    refused too, as Params refuses them.
     """
-    if jobs < 1:
+    if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     paths.enumerate_dyck(params, limit)  # checks the limit before any work
     path_count = paths.count_dyck(params)

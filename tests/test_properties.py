@@ -17,6 +17,8 @@ from sweeplab import (
     is_dyck,
     make_params,
     parse_word,
+    rank_difference_check,
+    region_counts,
     start_ranks,
     sweep,
     sweep_order,
@@ -27,6 +29,7 @@ from sweeplab import (
 from sweeplab.sweeping import sweep_key
 from conftest import all_dyck
 from test_diagram import rows_alternate
+from test_recursion import rank_difference_by_passes, region_counts_by_one_loop
 from test_stats import area_by_cells, dinv_by_pairs
 from test_sweep import _green_line_count
 
@@ -152,6 +155,20 @@ def test_kernels_equal_the_references_beyond_enumeration(word):
 def test_green_line_ranks_equal_the_per_arrow_count_beyond_enumeration(word):
     counts = green_line_ranks(word)
     assert counts == tuple(_green_line_count(word, s) for s in range(1, len(word) + 1))
+
+
+@given(long_dyck_words())
+def test_move_kernels_equal_the_references_beyond_enumeration(word):
+    # d <= 3, so the bands and the sweep comparisons meet tied ranks
+    dinv, image_area = dinv_pairs(word), area_cells(sweep(word))
+    for move in valid_moves(word):
+        swapped = apply_move(word, move)
+        holds = rank_difference_check(word, move)
+        assert holds and holds == rank_difference_by_passes(word, move)
+        counts = region_counts(word, move)
+        assert counts == region_counts_by_one_loop(word, move)
+        assert counts.area_delta == image_area - area_cells(sweep(swapped))
+        assert counts.dinv_delta == dinv - dinv_pairs(swapped)
 
 
 @given(arrangements())

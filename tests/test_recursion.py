@@ -28,8 +28,14 @@ from sweeplab import (
     valid_moves,
 )
 from sweeplab.paths import NORTH
-from sweeplab.sweeping import sweep_key, sweep_keys
+from sweeplab.sweeping import sweep_key
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck
+
+
+def _sweep_keys(word):
+    """sweep_key of every step, in column order, one call per step."""
+    ranks = start_ranks(word)
+    return [sweep_key(ranks[c - 1], c) for c in range(1, len(word) + 1)]
 
 
 def _image_rank(word, keys, step):
@@ -45,15 +51,15 @@ def _image_rank(word, keys, step):
 
 
 def rank_difference_by_passes(word, move):
-    """rank_difference_check in three passes: each image rank over its own
-    word's keys, then the band census with the displayed pair skipped by
-    column."""
+    """rank_difference_check in three passes over sweep_key tuples: each
+    image rank over its own word's keys, then the band census with the
+    displayed pair skipped by column."""
     swapped = sweeplab.recursion.apply_move(word, move)
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
-    keys = sweep_keys(word)
+    keys = _sweep_keys(word)
     rank_before = _image_rank(word, keys, p)
-    rank_after = _image_rank(swapped, sweep_keys(swapped), p + 1)
+    rank_after = _image_rank(swapped, _sweep_keys(swapped), p + 1)
     low, high = sweep_key(k - n, p + 1), sweep_key(k, p)
     ups = downs = 0
     for c, (letter, key) in enumerate(zip(word.steps, keys), start=1):
@@ -344,3 +350,26 @@ class TestReduceToBase:
     def test_unknown_strategy(self, p321):
         with pytest.raises(ValueError):
             reduce_to_base(parse_word("NNEEE", p321), "bogus")
+
+    @pytest.mark.parametrize("path", [base_path, corner_path])
+    def test_unknown_strategy_is_refused_before_any_move(self, path):
+        # the base path has no move to pick, so only an up-front check sees
+        # the strategy there
+        for (m, n, d) in PARAM_SETS:
+            with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+                reduce_to_base(path(make_params(m, n, d)), "bogus")
+
+    def test_sweep_latest_east_breaks_ties_to_the_smaller_column(self):
+        # the picked move is the one whose East step is swept last: highest
+        # start rank, and among tied ranks (d > 1) the smaller column
+        ties = 0
+        for (m, n, d) in PARAM_SETS:
+            for word in all_dyck(m, n, d):
+                moves = valid_moves(word)
+                if not moves:
+                    continue
+                top = max(mv.level for mv in moves)
+                latest = [mv for mv in moves if mv.level == top]
+                ties += len(latest) > 1
+                assert reduce_to_base(word, SWEEP_LATEST_EAST)[0] == latest[0], word.text
+        assert ties > 0

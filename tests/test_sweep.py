@@ -19,7 +19,7 @@ from sweeplab import (
     unsweep,
 )
 import sweeplab.sweeping
-from sweeplab.sweeping import sweep_key, sweep_keys
+from sweeplab.sweeping import sweep_key
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, arrangements
 
 
@@ -42,10 +42,6 @@ class TestSweepOrder:
                 keys = [sweep_key(ranks[c - 1], c) for c in sweep_order(word)]
                 assert keys == sorted(keys)
                 assert all(a < b for a, b in zip(keys, keys[1:]))
-                columns = range(1, len(word) + 1)
-                assert sweep_keys(word) == tuple(
-                    sweep_key(ranks[c - 1], c) for c in columns
-                )
 
     def test_equals_the_keyed_sort_on_every_arrangement(self):
         # non-Dyck words included: negative ranks, and tied ranks for d > 1

@@ -92,9 +92,11 @@ def test_jobs_are_clamped(monkeypatch):
     assert len(requested) == 1  # no fork, no pool
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
 def test_non_positive_jobs_are_refused_before_any_work(jobs, monkeypatch):
-    # the same ValueError as a non-positive limit, so the CLI exits 4
+    # the same ValueError as a non-positive limit, so the CLI exits 4; True
+    # and 2.5 are refused as well, as Params refuses them, though a bare
+    # comparison with 1 would let them run
     def no_enumeration(params, limit=None):
         raise AssertionError("enumerated before the jobs check")
 
