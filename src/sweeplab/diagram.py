@@ -19,16 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
+from typing import NamedTuple
 
 from .errors import RowOutOfRange
-from .paths import NORTH, Params, StepWord, start_ranks
+from .paths import EAST, NORTH, Params, StepWord, start_ranks
 
 RED = "red"
 BLUE = "blue"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
+    """The arrow of one step.  A named tuple, so a diagram's arrows are
+    built, hashed and compared in C, and each equals its plain
+    (column, color, start_rank) tuple."""
+
     column: int  # 1-based step position
     color: str  # RED (up) or BLUE (down)
     start_rank: int
@@ -83,13 +88,18 @@ class RowCounts:
         return self.c_red - self.c_blue
 
 
+_COLORS = {NORTH: RED, EAST: BLUE}
+
+
 def build_diagram(word: StepWord) -> PathDiagram:
-    """One arrow per column: color from the letter, level from the rank."""
-    arrows = tuple(
-        Arrow(c, RED if ch == NORTH else BLUE, rank)
-        for c, (ch, rank) in enumerate(zip(word.steps, start_ranks(word)), start=1)
-    )
-    return PathDiagram(word.params, arrows)
+    """One arrow per column: color from the letter, level from the rank.
+
+    The ranks are read first, so a letter other than N and E raises
+    BadLetter there.
+    """
+    ranks = start_ranks(word)
+    colors = map(_COLORS.__getitem__, word.steps)
+    return PathDiagram(word.params, tuple(map(Arrow, count(1), colors, ranks)))
 
 
 def segments_in_row(diagram: PathDiagram, j: int) -> list[tuple[int, str]]:
@@ -128,18 +138,17 @@ def check_row_structure(diagram: PathDiagram) -> bool:
     and writes its rows as one bytearray slice, so the cost is one step
     per arrow and `rows` is never built.
     """
-    arrows = diagram.arrows
-    if not arrows:
+    if not diagram.arrows:
         return True
     m, n = diagram.params.m, diagram.params.n
-    starts = [a.start_rank for a in arrows]
+    _, colors, starts = zip(*diagram.arrows)
     low = min(starts) - n  # the lowest row a blue arrow can cross
     state = bytearray(max(starts) + m - low)
     zeros_m, ones_m = bytes(m), b"\x01" * m
     zeros_n, ones_n = bytes(n), b"\x01" * n
-    for arrow, start in zip(arrows, starts):
+    for color, start in zip(colors, starts):
         r = start - low
-        if arrow.color == RED:
+        if color == RED:
             if state[r:r + m] != zeros_m:
                 return False
             state[r:r + m] = ones_m

@@ -11,10 +11,12 @@ Words are plain strings over {N, E} wrapped in StepWord together with
 their parameters.  Columns (step positions) are numbered from 1 so that
 they match the columns of the stretched diagram in `diagram`.
 
-A word's start ranks are computed at most once.  The enumeration walk
-already tracks them, so every word it yields arrives with its rank tuple
-cached; any other word computes its ranks on first use, as a running sum
-(`itertools.accumulate`) of the step each letter contributes.
+A word's start ranks are computed at most once.  Two builders already
+hold them and hand them over through `hand_over_ranks`: the enumeration
+walk, which tracks every step's rank, and `recursion.apply_move`, whose
+swapped word differs from its parent in one start rank.  Any other word
+(a sweep image, a parsed word) computes its ranks on first use, as a
+running sum (`itertools.accumulate`) of the step each letter contributes.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
 @dataclass(frozen=True)
 class StepWord:
     """An immutable word of North/East steps with its parameters; its start
-    ranks are computed once, on first use, unless the enumeration walk
-    handed them over."""
+    ranks are computed once, on first use, unless its builder handed them
+    over (see hand_over_ranks).  Equal words have equal steps, so the hash
+    is that of the steps alone."""
 
     steps: tuple[str, ...]
     params: Params
@@ -135,6 +138,9 @@ class StepWord:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
     def letter(self, column: int) -> str:
         """The letter at 1-based position `column`."""
@@ -172,6 +178,16 @@ def parse_word(text: str, params: Params) -> StepWord:
         except KeyError:
             raise BadLetter(f"letter {ch!r} is not one of N, E, S, W") from None
     return StepWord(tuple(steps), params)
+
+
+def hand_over_ranks(word: StepWord, ranks: tuple[int, ...]) -> StepWord:
+    """Cache `ranks` as the start ranks of `word`, which is returned.
+
+    For a builder that already holds them, so the word never computes them
+    again.  The caller vouches for the ranks: they are not checked.
+    """
+    word.__dict__["_ranks"] = ranks  # the cached_property's slot
+    return word
 
 
 def start_ranks(word: StepWord) -> tuple[int, ...]:
@@ -246,9 +262,7 @@ def _enumerate(params: Params):
             else:
                 steps[i] = EAST
                 rank -= n
-        word = StepWord(tuple(steps), params)
-        word.__dict__["_ranks"] = tuple(ranks)  # the cached_property's slot
-        yield word
+        yield hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
         pos = length - 1
         while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
             norths += steps[pos] == NORTH

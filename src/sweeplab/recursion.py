@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidMove, NoMoveAvailable
 from .paths import (
@@ -33,6 +34,7 @@ from .paths import (
     NORTH,
     StepWord,
     base_path,
+    hand_over_ranks,
     require_dyck,
     start_ranks,
 )
@@ -44,11 +46,14 @@ SWEEP_LATEST_EAST = "sweep-latest-east"
 STRATEGIES = (FIRST_VALID, SWEEP_LATEST_EAST)
 
 
-@dataclass(frozen=True)
-class RemovalMove:
+class RemovalMove(NamedTuple):
     """One area-cell removal: swap the North step at `position` (1-based)
     with the East step right after it.  `level` is the North step's start
-    rank k, so the four display levels are k+m, k+m-n, k, k-n."""
+    rank k, so the four display levels are k+m, k+m-n, k, k-n.
+
+    A named tuple, so building, hashing and comparing a move run in C;
+    apply_move checks that both fields are ints.
+    """
 
     position: int
     level: int
@@ -90,11 +95,13 @@ def valid_moves(word: StepWord) -> list[RemovalMove]:
     """
     require_dyck(word)
     n = word.params.n
-    ranks = start_ranks(word)
+    steps = word.steps
     moves = []
-    for p in range(1, len(word)):
-        if word.letter(p) == NORTH and word.letter(p + 1) == EAST and ranks[p - 1] >= n:
-            moves.append(RemovalMove(p, ranks[p - 1]))
+    for p, (letter, next_letter, r) in enumerate(
+        zip(steps, steps[1:], start_ranks(word)), start=1
+    ):
+        if letter == NORTH and next_letter == EAST and r >= n:
+            moves.append(RemovalMove(p, r))
     return moves
 
 
@@ -102,26 +109,32 @@ def valid_moves(word: StepWord) -> list[RemovalMove]:
 def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
     """The word with the two steps swapped; area drops by exactly one.
 
-    The one validator of a move, raising InvalidMove; region_counts and
-    rank_difference_check call it.  The last result is kept, so in
-    `verify`, which swaps each move first, both calls are memo hits.
+    The one validator of a move, raising InvalidMove, also for a position
+    or level that is not an int (a bool is refused too, as Params refuses
+    it); region_counts and rank_difference_check call it.  The last result
+    is kept, so in `verify`, which swaps each move first, both calls are
+    memo hits.  The memo compares moves by value, so a move equal to the
+    last one is answered from it.
+
+    The swapped word inherits its start ranks: they are the word's, except
+    that the North step now at column p+1 starts at k-n.
     """
-    p = move.position
-    if not 1 <= p < len(word):
-        raise InvalidMove(f"position {p} outside 1..{len(word) - 1}")
-    if word.letter(p) != NORTH or word.letter(p + 1) != EAST:
+    p, k = move
+    if type(p) is not int or type(k) is not int:
+        raise InvalidMove(f"move position and level must be integers, got {move!r}")
+    steps = word.steps
+    if not 1 <= p < len(steps):
+        raise InvalidMove(f"position {p} outside 1..{len(steps) - 1}")
+    if steps[p - 1] != NORTH or steps[p] != EAST:
         raise InvalidMove(f"no North-East pair at position {p} of {word.text}")
-    if start_ranks(word)[p - 1] != move.level:
-        raise InvalidMove(
-            f"move level {move.level} does not match the rank at position {p}"
-        )
-    if move.level < word.params.n:
-        raise InvalidMove(
-            f"swap at position {p} would drop below rank 0 (level {move.level})"
-        )
-    steps = list(word.steps)
-    steps[p - 1], steps[p] = steps[p], steps[p - 1]
-    return StepWord(tuple(steps), word.params)
+    ranks = start_ranks(word)
+    if ranks[p - 1] != k:
+        raise InvalidMove(f"move level {k} does not match the rank at position {p}")
+    n = word.params.n
+    if k < n:
+        raise InvalidMove(f"swap at position {p} would drop below rank 0 (level {k})")
+    swapped = StepWord(steps[:p - 1] + (EAST, NORTH) + steps[p + 1:], word.params)
+    return hand_over_ranks(swapped, ranks[:p] + (k - n,) + ranks[p + 1:])
 
 
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:

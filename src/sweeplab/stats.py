@@ -122,9 +122,11 @@ def dinv_cell_list(word: StepWord) -> list[tuple[int, int]]:
     A cell (x, y) above the path contributes when the start rank a of the
     East step below it and the start rank b of the North step to its
     right satisfy 0 <= a - b < m + n.  This is the cell-by-cell O(L^2)
-    formulation.  verify checks dinv_pairs against it, so it is kept
-    independent of dinv_pairs on purpose: the two share no code but the
-    start ranks.
+    formulation: for each North step it scans the East steps from the
+    left and stops at the first one after the North step, since no cell
+    of that column or a later one is above the path in its row.  verify
+    checks dinv_pairs against it, so it is kept independent of dinv_pairs
+    on purpose: the two share no code but the start ranks.
     """
     require_dyck(word)
     m, n = word.params.m, word.params.n
@@ -133,8 +135,11 @@ def dinv_cell_list(word: StepWord) -> list[tuple[int, int]]:
     easts = [i for i, ch in enumerate(word.steps) if ch == EAST]
     cells = []
     for y, npos in enumerate(norths):
+        north_rank = ranks[npos]
         for x, epos in enumerate(easts):
-            if epos < npos and 0 <= ranks[epos] - ranks[npos] < m + n:
+            if epos > npos:
+                break
+            if 0 <= ranks[epos] - north_rank < m + n:
                 cells.append((x, y))
     return cells
 

@@ -190,11 +190,11 @@ def green_line_ranks(word: StepWord) -> tuple[int, ...]:
 def green_line_rank(word: StepWord, step: int) -> int:
     """The green-line count of one step (1-based); see green_line_ranks,
     which it reads, so there is one way to count.  Costs a whole
-    green_line_ranks call."""
-    counts = green_line_ranks(word)
+    green_line_ranks call; the step range is checked first, as in
+    image_start_rank."""
     if not 1 <= step <= len(word):
         raise IndexOutOfRange(f"step {step} outside 1..{len(word)}")
-    return counts[step - 1]
+    return green_line_ranks(word)[step - 1]
 
 
 #: How many parameter sets keep an unsweep table; the least recently used

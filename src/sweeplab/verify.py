@@ -19,8 +19,9 @@ first as the swapped word of another path's removal move, and keeps them
 until the path is reached; so each word is swept and its statistics
 counted once per run (once per worker with jobs > 1).  A swapped word
 whose image is not Dyck fails the area recursion of that move.  Each move
-is validated and swapped once, and its band counts are counted once and
-give both predicted deltas.
+is validated and swapped once, the swapped word inheriting all start ranks
+but one from its path, and its band counts are counted once and give both
+predicted deltas.
 
 The supporting checks cost little per path.  One green_line_ranks call
 counts every step's green line at once, one sort and one pass over the

@@ -12,6 +12,7 @@ from sweeplab import (
     parse_word,
     row_counts,
     segments_in_row,
+    start_ranks,
 )
 from sweeplab.diagram import BLUE, RED
 from conftest import PARAM_SETS, all_dyck, arrangements
@@ -57,6 +58,16 @@ class TestBuildDiagram:
             (3, BLUE, 2),
             (4, BLUE, 1),
         ]
+
+    @pytest.mark.parametrize("m,n,d", PARAM_SETS)
+    def test_equals_the_per_column_reference(self, m, n, d):
+        for word in arrangements(m, n, d):
+            ranks = start_ranks(word)
+            expected = tuple(
+                (c, RED if word.letter(c) == "N" else BLUE, ranks[c - 1])
+                for c in range(1, len(word) + 1)
+            )
+            assert build_diagram(word).arrows == expected, word.text
 
     def test_rectangle_dimensions(self):
         diagram = build_diagram(parse_word("NNEEE", make_params(3, 2)))

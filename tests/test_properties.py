@@ -163,6 +163,8 @@ def test_move_kernels_equal_the_references_beyond_enumeration(word):
     dinv, image_area = dinv_pairs(word), area_cells(sweep(word))
     for move in valid_moves(word):
         swapped = apply_move(word, move)
+        # the ranks apply_move hands over equal those a fresh word computes
+        assert start_ranks(swapped) == start_ranks(StepWord(swapped.steps, word.params))
         holds = rank_difference_check(word, move)
         assert holds and holds == rank_difference_by_passes(word, move)
         counts = region_counts(word, move)

@@ -8,6 +8,7 @@ from sweeplab import (
     NotDyck,
     RegionCounts,
     RemovalMove,
+    StepWord,
     apply_move,
     area_cells,
     area_recursion_delta,
@@ -158,6 +159,32 @@ class TestApplyMove:
             apply_move(word, RemovalMove(position=3, level=6))  # E-E pair
         with pytest.raises(InvalidMove):
             apply_move(word, RemovalMove(position=2, level=5))  # wrong level
+
+    @pytest.mark.parametrize(
+        "move",
+        [
+            RemovalMove(2.0, 3),
+            RemovalMove(2, 3.0),
+            RemovalMove(True, 3),
+            RemovalMove(2, True),
+            RemovalMove("2", 3),
+        ],
+    )
+    def test_non_int_move_rejected(self, move, p321):
+        # a fresh word, so the memo holds no equal move of it
+        word = parse_word("NNEEE", p321)
+        with pytest.raises(InvalidMove, match="must be integers"):
+            apply_move(word, move)
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_swapped_word_inherits_its_ranks(self, m, n, d):
+        params = make_params(m, n, d)
+        for word in all_dyck(m, n, d):
+            for move in valid_moves(word):
+                swapped = apply_move(word, move)
+                assert "_ranks" in vars(swapped)  # handed over, not computed
+                fresh = StepWord(swapped.steps, params)
+                assert start_ranks(swapped) == start_ranks(fresh), (word.text, move)
 
 
 BAD_MOVES = [

@@ -201,6 +201,15 @@ class TestGreenLine:
             with pytest.raises(IndexOutOfRange):
                 green_line_rank(parse_word("NENEE", p321), step)
 
+    def test_step_range_is_checked_before_counting(self, p321, monkeypatch):
+        def uncalled(word):
+            raise AssertionError("the whole path was counted")
+
+        monkeypatch.setattr(sweeplab.sweeping, "green_line_ranks", uncalled)
+        for step in (0, 6):
+            with pytest.raises(IndexOutOfRange):
+                green_line_rank(parse_word("NENEE", p321), step)
+
 
 class TestKeyOrder:
     def test_precedes(self):

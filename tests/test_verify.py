@@ -179,6 +179,22 @@ def test_each_move_builds_one_swapped_word(monkeypatch):
     assert built["words"] == results["rank-difference"].checked == 144
 
 
+def test_ranks_are_computed_only_for_new_words(monkeypatch):
+    computed = []
+    ranks_slot = sweeplab.paths.StepWord.__dict__["_ranks"]
+    true_ranks = ranks_slot.func
+
+    def counted(word):
+        computed.append(word.text)
+        return true_ranks(word)
+
+    monkeypatch.setattr(ranks_slot, "func", counted)
+    assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    # the 66 paths and their 144 swapped words are handed their ranks:
+    # only the 66 images, the base path and the corner path compute theirs
+    assert len(computed) == 68
+
+
 def test_each_move_is_validated_once():
     # apply_move is the one validator; region_counts and
     # rank_difference_check call it after verify swapped the move, so both
