@@ -34,7 +34,7 @@ def survey(max_steps: int) -> None:
                     continue
                 params = make_params(m, n, d)
                 moves = clean = 0
-                for word in enumerate_dyck(params):
+                for word in enumerate_dyck(params, limit=max_steps):
                     current = word
                     for move in reduce_to_base(word, SWEEP_LATEST_EAST):
                         counts = region_counts(current, move)

@@ -21,7 +21,7 @@ def survey(max_steps: int) -> None:
             for d in (1, 2):
                 if d * (m + n) > max_steps:
                     continue
-                table = joint_distribution(make_params(m, n, d))
+                table = joint_distribution(make_params(m, n, d), limit=max_steps)
                 verdict = "EQUAL" if table.marginals_agree() else "DIFFERENT"
                 print(f"== m={m} n={n} d={d}: {table.total()} paths, marginals {verdict}")
                 print(table.to_matrix_text())

@@ -10,11 +10,10 @@
     sweeplab unsweep   --m M --n N [--d D] [--limit L] WORD
 
 Exit codes: 0 success, 1 verification counterexample, 2 input error,
-3 enumeration limit exceeded, 4 flag misuse.  The environment variable
-SWEEPLAB_LIMIT overrides the default enumeration cap; --limit, taken only
-by the commands that enumerate, overrides both.  Either must be a positive
-integer, and so must --jobs; anything else exits 4, as does an --out FILE
-that cannot be opened.
+3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
+commands that enumerate, overrides the default enumeration cap.  It must be
+a positive integer, and so must --jobs; anything else exits 4, as does an
+--out FILE that cannot be opened.
 """
 
 from __future__ import annotations
@@ -148,8 +147,8 @@ def _record(word, image=None):
 
 def _cmd_stats(args, params) -> int:
     word = paths.parse_word(args.word, params)
-    paths.require_dyck(word)
     image = sweeping.sweep(word)
+    # both formats call area_cells, which refuses a non-Dyck word, before any output
     if args.format == "jsonl":
         _emit(_LINES["jsonl"].format_map(_record(word, image)), args.out)
         return EXIT_OK
@@ -208,7 +207,7 @@ def _cmd_table(args, params) -> int:
 
 def _cmd_render(args, params) -> int:
     word = paths.parse_word(args.word, params)
-    paths.require_dyck(word)
+    paths.require_dyck(word)  # a non-Dyck word exits 2 before a --highlight misuse
     if args.style == "grid":
         if args.highlight is not None:
             raise _UsageError("--highlight only applies to --style diagram")
@@ -227,7 +226,6 @@ def _cmd_sweep(args, params) -> int:
 
 def _cmd_unsweep(args, params) -> int:
     word = paths.parse_word(args.word, params)
-    paths.require_dyck(word)
     _emit(sweeping.unsweep(word, args.limit).text + "\n", args.out)
     return EXIT_OK
 

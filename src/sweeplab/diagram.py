@@ -10,9 +10,9 @@ tests are integer interval tests, never geometry.
 For Dyck words every arrow stays inside rows 0..dmn-1.  Non-Dyck words are
 allowed too (their arrows dip below row 0), which is exactly what the row
 structure check detects.  That check walks the arrows once with one
-expected color per row, so it costs one slice compare and one slice write
-per arrow; the per-row segment lists of `PathDiagram.rows` are built only
-for the row queries (`segments_in_row`, `row_counts`, `attained_rows`).
+expected color per row; the per-row segment lists of `PathDiagram.rows`
+are built only for the row queries (`segments_in_row`, `row_counts`,
+`attained_rows`).
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def build_diagram(word: StepWord) -> PathDiagram:
 def segments_in_row(diagram: PathDiagram, j: int) -> list[tuple[int, str]]:
     """The (column, color) segments of row j, left to right.
 
-    j must lie in 0..dmn-1, the rows of the diagram rectangle.
+    j must be an int in 0..dmn-1, the rows of the diagram rectangle.
     """
-    if not 0 <= j < diagram.height:
-        raise RowOutOfRange(f"row {j} outside 0..{diagram.height - 1}")
+    if type(j) is not int or not 0 <= j < diagram.height:
+        raise RowOutOfRange(f"row {j!r} outside 0..{diagram.height - 1}")
     return list(diagram.rows.get(j, ()))
 
 

@@ -22,7 +22,6 @@ running sum (`itertools.accumulate`) of the step each letter contributes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -42,20 +41,6 @@ EAST = "E"
 #: Default cap on d*(m+n), the number of steps, for exhaustive enumeration.
 #: Counting is unbounded (polynomial DP); enumeration is not.
 DEFAULT_STEP_LIMIT = 40
-
-
-def step_limit() -> int:
-    """The enumeration cap, honoring the SWEEPLAB_LIMIT environment variable."""
-    raw = os.environ.get("SWEEPLAB_LIMIT")
-    if raw is None:
-        return DEFAULT_STEP_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(f"SWEEPLAB_LIMIT must be a positive integer, got {raw!r}")
-    return limit
 
 
 @dataclass(frozen=True)
@@ -225,12 +210,12 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     ranks nonnegative always completes (append the remaining North steps,
     then the remaining East steps), so the search has no dead ends.
 
-    Raises LimitExceeded when d(m+n) exceeds `limit` (default: the value
-    of step_limit()), and ValueError when `limit` is not a positive int
+    Raises LimitExceeded when d(m+n) exceeds `limit` (default:
+    DEFAULT_STEP_LIMIT), and ValueError when `limit` is not a positive int
     (a bool or float is refused, as Params refuses them).
     """
     if limit is None:
-        limit = step_limit()
+        limit = DEFAULT_STEP_LIMIT
     elif type(limit) is not int or limit < 1:
         raise ValueError(f"limit must be a positive integer, got {limit!r}")
     if params.step_count > limit:

@@ -24,7 +24,6 @@ pattern, which is how the main identity reduces to the area-0 base case.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,20 +104,28 @@ def valid_moves(word: StepWord) -> list[RemovalMove]:
     return moves
 
 
-@functools.lru_cache(maxsize=1)
+_last_move: tuple = (None, None, None)  # (word, move, swapped word) of the last build
+
+
 def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
     """The word with the two steps swapped; area drops by exactly one.
 
     The one validator of a move, raising InvalidMove, also for a position
     or level that is not an int (a bool is refused too, as Params refuses
     it); region_counts and rank_difference_check call it.  The last result
-    is kept, so in `verify`, which swaps each move first, both calls are
-    memo hits.  The memo compares moves by value, so a move equal to the
-    last one is answered from it.
+    is kept and answers a call only with the very same word and move
+    objects, which were validated together; an equal word or move, such as
+    RemovalMove(2.0, 3) after RemovalMove(2, 3), is validated afresh.  So
+    in `verify`, which swaps each move first and passes the same objects
+    on, both later calls are memo hits.
 
     The swapped word inherits its start ranks: they are the word's, except
     that the North step now at column p+1 starts at k-n.
     """
+    global _last_move
+    last_word, last_move, last_swapped = _last_move
+    if word is last_word and move is last_move:
+        return last_swapped
     p, k = move
     if type(p) is not int or type(k) is not int:
         raise InvalidMove(f"move position and level must be integers, got {move!r}")
@@ -134,7 +141,9 @@ def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
     if k < n:
         raise InvalidMove(f"swap at position {p} would drop below rank 0 (level {k})")
     swapped = StepWord(steps[:p - 1] + (EAST, NORTH) + steps[p + 1:], word.params)
-    return hand_over_ranks(swapped, ranks[:p] + (k - n,) + ranks[p + 1:])
+    hand_over_ranks(swapped, ranks[:p] + (k - n,) + ranks[p + 1:])
+    _last_move = (word, move, swapped)  # one assignment: never half updated
+    return swapped
 
 
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:

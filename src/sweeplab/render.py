@@ -100,10 +100,10 @@ def render_grid(word: StepWord) -> str:
 
 def render_diagram(word: StepWord, highlight: int | None = None) -> str:
     """The stretched arrow picture; `highlight` draws the green sweep line
-    through that step's start (1-based)."""
+    through that step's start (an int, 1-based)."""
     require_dyck(word)
-    if highlight is not None and not 1 <= highlight <= len(word):
-        raise IndexOutOfRange(f"highlight step {highlight} outside 1..{len(word)}")
+    if highlight is not None and not (type(highlight) is int and 1 <= highlight <= len(word)):
+        raise IndexOutOfRange(f"highlight step {highlight!r} outside 1..{len(word)}")
     params = word.params
     cols, levels = params.step_count, params.rect_height
     left, right, top, bottom = 50, 20, 20, 36

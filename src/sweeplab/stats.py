@@ -84,9 +84,10 @@ def area_rank_formula(word: StepWord) -> int:
 
 
 def least_row_rank(j: int, params: Params) -> int:
-    """The least nonnegative cell rank in grid row j: (m*j) mod n."""
-    if not 0 <= j < params.north_count:
-        raise RowOutOfRange(f"row {j} outside 0..{params.north_count - 1}")
+    """The least nonnegative cell rank in grid row j, an int in
+    0..dn-1: (m*j) mod n."""
+    if type(j) is not int or not 0 <= j < params.north_count:
+        raise RowOutOfRange(f"row {j!r} outside 0..{params.north_count - 1}")
     return (params.m * j) % params.n
 
 

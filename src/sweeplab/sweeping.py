@@ -104,10 +104,11 @@ def image_start_rank(word: StepWord, position_in_sweep: int) -> int:
     """Start rank of the image step at the given 1-based sweep position.
 
     This is start_ranks(sweep(word)) at that position: b*m - a*n where b
-    North and a East steps are swept strictly earlier.
+    North and a East steps are swept strictly earlier.  The position must
+    be an int (a bool is refused); IndexOutOfRange otherwise.
     """
-    if not 1 <= position_in_sweep <= len(word):
-        raise IndexOutOfRange(f"sweep position {position_in_sweep} outside 1..{len(word)}")
+    if type(position_in_sweep) is not int or not 1 <= position_in_sweep <= len(word):
+        raise IndexOutOfRange(f"sweep position {position_in_sweep!r} outside 1..{len(word)}")
     return start_ranks(sweep(word))[position_in_sweep - 1]
 
 
@@ -190,10 +191,10 @@ def green_line_ranks(word: StepWord) -> tuple[int, ...]:
 def green_line_rank(word: StepWord, step: int) -> int:
     """The green-line count of one step (1-based); see green_line_ranks,
     which it reads, so there is one way to count.  Costs a whole
-    green_line_ranks call; the step range is checked first, as in
-    image_start_rank."""
-    if not 1 <= step <= len(word):
-        raise IndexOutOfRange(f"step {step} outside 1..{len(word)}")
+    green_line_ranks call; the step, an int in range, is checked first, as
+    in image_start_rank."""
+    if type(step) is not int or not 1 <= step <= len(word):
+        raise IndexOutOfRange(f"step {step!r} outside 1..{len(word)}")
     return green_line_ranks(word)[step - 1]
 
 

@@ -9,7 +9,9 @@ recursions and their cross-identities, and the base case.
 
 Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (installed, say, by a test
-monkeypatch) is caught and reported rather than silently trusted.
+monkeypatch) is caught and reported rather than silently trusted.  So is
+one that makes the rank-sum area formula leave a remainder: that path
+fails `area-formula` with formula=undefined.
 
 All checks read one streaming pass over the enumeration; bijectivity and
 the base case read the (word, image) texts and the area-0 paths that the
@@ -22,12 +24,6 @@ whose image is not Dyck fails the area recursion of that move.  Each move
 is validated and swapped once, the swapped word inheriting all start ranks
 but one from its path, and its band counts are counted once and give both
 predicted deltas.
-
-The supporting checks cost little per path.  One green_line_ranks call
-counts every step's green line at once, one sort and one pass over the
-arrows with no call per step; the row structure is one walk over the
-arrows with one expected color per row; and each move's rank difference
-is one pass over the word and its swapped word side by side.
 
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
@@ -45,6 +41,7 @@ from dataclasses import dataclass
 
 from . import diagram, paths, recursion, stats
 from . import sweeping
+from .errors import NonIntegral
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,10 @@ def _word_failures(params, limit, lo, hi):
                 "dinv-sweeps-to-area",
                 f"word={word.text} dinv={dinv} image={image.text} area={image_area}",
             )
-        area_formula = stats.area_rank_formula(word)
+        try:
+            area_formula = stats.area_rank_formula(word)
+        except NonIntegral:  # a rank sum off the congruence: no area equals it
+            area_formula = "undefined"
         if area != area_formula:
             note("area-formula", f"word={word.text} cells={area} formula={area_formula}")
         dinv_cells = stats.dinv_cells(word)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sweeplab.stats
+from sweeplab import enumerate_dyck, make_params
 from sweeplab.cli import _record, main
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
 
@@ -114,6 +115,13 @@ class TestStatsCommand:
         assert main(["stats", "--m", "3", "--n", "2", "--d", "1", "NEENE"]) == 2
         assert "not a Dyck path" in capsys.readouterr().err
 
+    def test_non_dyck_jsonl_exits_2_before_any_output(self, tmp_path, capsys):
+        code, out = run_cli(
+            tmp_path, "stats", "--m", "3", "--n", "2", "--format", "jsonl", "NEENE"
+        )
+        assert (code, out) == (2, b"")
+        assert "not a Dyck path: NEENE" in capsys.readouterr().err
+
     def test_non_coprime_exits_2(self, capsys):
         assert main(["stats", "--m", "4", "--n", "2", "--d", "1", "NENEE"]) == 2
         assert "share a factor" in capsys.readouterr().err
@@ -142,20 +150,13 @@ class TestEnumerateCommand:
         # the limit is checked before the output file is opened
         assert not out.exists()
 
-    def test_env_limit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SWEEPLAB_LIMIT", "4")
-        assert main(["enumerate", "--m", "3", "--n", "2", "--d", "1"]) == 3
-        # an explicit flag wins over the environment
-        code, _ = run_cli(
-            tmp_path, "enumerate", "--m", "3", "--n", "2", "--d", "1", "--limit", "10"
-        )
-        assert code == 0
-
-    def test_malformed_env_limit_exits_4(self, capsys, monkeypatch):
-        for value in ("plenty", "0"):
+    def test_the_environment_sets_no_limit(self, tmp_path, monkeypatch):
+        # --limit is the only override of the default cap
+        for value in ("4", "plenty"):
             monkeypatch.setenv("SWEEPLAB_LIMIT", value)
-            assert main(["enumerate", "--m", "3", "--n", "2", "--d", "1"]) == 4
-            assert "SWEEPLAB_LIMIT" in capsys.readouterr().err
+            code, out = run_cli(tmp_path, "enumerate", "--m", "3", "--n", "2")
+            assert code == 0 and len(out.splitlines()) == 2
+            assert len(list(enumerate_dyck(make_params(3, 2)))) == 2
 
 
 class TestVerifyCommand:
@@ -260,6 +261,10 @@ class TestRenderCommand:
             == 4
         )
 
+    def test_non_dyck_word_beats_the_highlight_misuse(self, capsys):
+        assert main(["render", "--m", "3", "--n", "2", "--highlight", "2", "NEENE"]) == 2
+        assert "not a Dyck path: NEENE" in capsys.readouterr().err
+
 
 class TestSweepCommands:
     def test_sweep(self, tmp_path):
@@ -269,6 +274,11 @@ class TestSweepCommands:
     def test_unsweep(self, tmp_path):
         _, out = run_cli(tmp_path, "unsweep", "--m", "3", "--n", "2", "--d", "1", "NNEEE")
         assert out == b"NENEE\n"
+
+    def test_unsweep_non_dyck_exits_2(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "unsweep", "--m", "3", "--n", "2", "NEENE")
+        assert (code, out) == (2, b"")
+        assert "not a Dyck path: NEENE" in capsys.readouterr().err
 
     def test_roundtrip_all_paths(self, tmp_path):
         _, listing = run_cli(
@@ -297,7 +307,7 @@ class TestUsageErrors:
         assert main(["render", "--m", "3", "--n", "2", "--format", "svg", "NENEE"]) == 4
 
     def test_non_positive_limit_flag_exits_4(self, capsys):
-        # a flag misuse, as SWEEPLAB_LIMIT <= 0 is, not an exceeded limit
+        # a flag misuse, not an exceeded limit
         for command in (["enumerate"], ["verify"], ["unsweep", "NNEEE"]):
             for limit in ("0", "-5"):
                 argv = [command[0], "--m", "3", "--n", "2", "--limit", limit, *command[1:]]

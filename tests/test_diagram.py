@@ -96,6 +96,14 @@ class TestSegmentsInRow:
         with pytest.raises(RowOutOfRange):
             segments_in_row(diagram, -1)
 
+    @pytest.mark.parametrize("value", [2.0, True, "2"])
+    @pytest.mark.parametrize("query", [segments_in_row, row_counts])
+    def test_non_int_row_refused(self, query, value, p321):
+        # 2.0 and True hash like rows 2 and 1, but an int is required
+        diagram = build_diagram(parse_word("NNEEE", p321))
+        with pytest.raises(RowOutOfRange, match="outside 0..5"):
+            query(diagram, value)
+
     def test_column_crosses_row_at_most_once(self):
         for (m, n, d) in PARAM_SETS:
             for word in all_dyck(m, n, d):

@@ -181,16 +181,11 @@ class TestEnumerate:
             enumerate_dyck(make_params(3, 2, 1), limit=4)
 
     def test_non_positive_limit(self):
-        # rejected like a non-positive SWEEPLAB_LIMIT, before any step count;
-        # so are a bool and a float, a misuse rather than a cap of 1 or 40
+        # rejected before any step count; so are a bool and a float, a
+        # misuse rather than a cap of 1 or 40
         for limit in (0, -5, True, 40.5):
             with pytest.raises(ValueError, match="limit must be a positive integer"):
                 enumerate_dyck(make_params(3, 2, 1), limit=limit)
-
-    def test_env_var_limit(self, monkeypatch):
-        monkeypatch.setenv("SWEEPLAB_LIMIT", "4")
-        with pytest.raises(LimitExceeded):
-            enumerate_dyck(make_params(3, 2, 1))
 
 
 class TestCount:

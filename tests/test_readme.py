@@ -1,15 +1,21 @@
-"""The README's examples run as written: its `python` block, and each
-`sweeplab ...` line of its "Command line" block through cli.main."""
+"""The README's examples run as written: its `python` block, each
+`sweeplab ...` line of its "Command line" block through cli.main, and each
+`python scripts/...` line of its "Experiment scripts" block in a child
+interpreter."""
 
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from sweeplab.cli import main
+from conftest import subprocess_env
 
-README = (Path(__file__).parent.parent / "README.md").read_text()
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _blocks(fence_info, after=""):
@@ -25,9 +31,16 @@ COMMAND_LINES = [
 ]
 
 
+SCRIPT_LINES = [
+    line for line in _blocks("", "## Experiment scripts")[0].splitlines()
+    if line.startswith("python scripts/")
+]
+
+
 def test_the_examples_are_found():
     assert len(COMMAND_LINES) == 7
     assert len(_blocks("python")) == 1
+    assert len(SCRIPT_LINES) == 3
 
 
 def test_python_block_runs():
@@ -38,3 +51,16 @@ def test_python_block_runs():
 def test_command_line_exits_0(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # `render ... --out fig.svg` writes here
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", SCRIPT_LINES, ids=lambda line: shlex.split(line, comments=True)[1]
+)
+def test_script_line_exits_0(line, tmp_path):
+    # run from tmp_path, where `render_gallery.py out` writes its figures
+    _, script, *args = shlex.split(line, comments=True)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / script), *args],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

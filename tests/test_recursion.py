@@ -171,10 +171,40 @@ class TestApplyMove:
         ],
     )
     def test_non_int_move_rejected(self, move, p321):
-        # a fresh word, so the memo holds no equal move of it
         word = parse_word("NNEEE", p321)
         with pytest.raises(InvalidMove, match="must be integers"):
             apply_move(word, move)
+
+    @pytest.mark.parametrize("fresh_word", [False, True])
+    @pytest.mark.parametrize(
+        "params,text,move,equal_move,swapped",
+        [
+            ((3, 2, 1), "NNEEE", RemovalMove(2, 3), RemovalMove(2.0, 3), "NENEE"),
+            ((1, 1, 2), "NNEE", RemovalMove(2, 1), RemovalMove(2, True), "NENE"),
+        ],
+        ids=["float-position", "bool-level"],
+    )
+    def test_an_equal_move_after_a_valid_one_is_validated(
+        self, params, text, move, equal_move, swapped, fresh_word
+    ):
+        # equal_move == move, but is no int move: the kept last result must
+        # not answer it, for the same word or an equal one
+        params = make_params(*params)
+        word = parse_word(text, params)
+        assert apply_move(word, move).text == swapped
+        if fresh_word:
+            word = parse_word(text, params)
+        with pytest.raises(InvalidMove, match="must be integers"):
+            apply_move(word, equal_move)
+
+    def test_the_same_word_and_move_reuse_the_swapped_word(self, p321):
+        word = parse_word("NNEEE", p321)
+        move = RemovalMove(2, 3)
+        swapped = apply_move(word, move)
+        assert apply_move(word, move) is swapped
+        # an equal move object is validated and swapped afresh
+        again = apply_move(word, RemovalMove(2, 3))
+        assert again == swapped and again is not swapped
 
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_swapped_word_inherits_its_ranks(self, m, n, d):

@@ -116,6 +116,12 @@ class TestLeastRowRank:
         with pytest.raises(RowOutOfRange):
             least_row_rank(2, p321)
 
+    @pytest.mark.parametrize("value", [2.0, True, "2"])
+    def test_non_int_row_refused(self, value):
+        # rows 0..2 of (5,3): 2.0 and True lie in range, but are no int
+        with pytest.raises(RowOutOfRange, match="outside 0..2"):
+            least_row_rank(value, make_params(5, 3))
+
     def test_per_row_area_decomposition(self):
         # (south rank - least row rank)/n is a nonnegative integer per
         # grid row, and the contributions sum to the area

@@ -19,6 +19,7 @@ from sweeplab import (
     unsweep,
 )
 import sweeplab.sweeping
+from sweeplab.render import render_diagram
 from sweeplab.sweeping import sweep_key
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, arrangements
 
@@ -209,6 +210,22 @@ class TestGreenLine:
         for step in (0, 6):
             with pytest.raises(IndexOutOfRange):
                 green_line_rank(parse_word("NENEE", p321), step)
+
+
+@pytest.mark.parametrize("value", [2.0, True, "2"])
+@pytest.mark.parametrize(
+    "reader", [image_start_rank, green_line_rank, render_diagram],
+    ids=lambda reader: reader.__name__,
+)
+def test_non_int_position_refused(reader, value, p321, monkeypatch):
+    # an int is required, so a bool is refused too, as for moves and jobs;
+    # and before any green line is counted
+    def uncalled(word):
+        raise AssertionError("the whole path was counted")
+
+    monkeypatch.setattr(sweeplab.sweeping, "green_line_ranks", uncalled)
+    with pytest.raises(IndexOutOfRange, match="outside 1..5"):
+        reader(parse_word("NENEE", p321), value)
 
 
 class TestKeyOrder:

@@ -172,7 +172,6 @@ def test_each_move_builds_one_swapped_word(monkeypatch):
 
     # apply_move is the only StepWord constructor in recursion
     monkeypatch.setattr(sweeplab.recursion, "StepWord", counted)
-    sweeplab.recursion.apply_move.cache_clear()
     results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
     assert all(r.passed for r in results.values())
     # rank_difference_check reads the word that the direct deltas swapped
@@ -195,14 +194,28 @@ def test_ranks_are_computed_only_for_new_words(monkeypatch):
     assert len(computed) == 68
 
 
-def test_each_move_is_validated_once():
-    # apply_move is the one validator; region_counts and
-    # rank_difference_check call it after verify swapped the move, so both
-    # are memo hits
-    apply_move.cache_clear()
+def test_each_move_is_validated_once(monkeypatch):
+    # apply_move is the one validator, and it builds a swapped word only
+    # after validating; region_counts and rank_difference_check call it
+    # with the objects verify swapped, so both calls are memo hits
+    calls = collections.Counter()
+    true_apply_move = sweeplab.recursion.apply_move
+    true_step_word = sweeplab.recursion.StepWord
+
+    def counted_apply_move(word, move):
+        calls["apply_move"] += 1
+        return true_apply_move(word, move)
+
+    def counted_step_word(steps, params):
+        calls["built"] += 1
+        return true_step_word(steps, params)
+
+    # verify, region_counts and rank_difference_check all resolve
+    # apply_move through the module
+    monkeypatch.setattr(sweeplab.recursion, "apply_move", counted_apply_move)
+    monkeypatch.setattr(sweeplab.recursion, "StepWord", counted_step_word)
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
-    info = apply_move.cache_info()
-    assert (info.misses, info.hits) == (144, 288)
+    assert (calls["apply_move"], calls["built"]) == (432, 144)
 
 
 def _reversed_after_nne(params):
@@ -358,6 +371,28 @@ def test_area_cells_does_not_share_the_ranks_of_the_formula(monkeypatch):
     formula = results["area-formula"]
     assert len(formula.failures) == formula.checked == len(all_dyck(7, n, 1))
     assert all(r.passed for name, r in results.items() if name != "area-formula")
+
+
+def test_a_rank_sum_off_the_congruence_is_recorded(monkeypatch, capsys):
+    # raising the first rank by 1 leaves a remainder in the formula's exact
+    # division: every path is an area-formula counterexample, not a crash
+    true_ranks = sweeplab.stats.south_end_ranks
+
+    def raised(word):
+        first, *rest = true_ranks(word)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(sweeplab.stats, "south_end_ranks", raised)
+    params = make_params(7, 5, 1)
+    results = run_checks(params)
+    by_name = {r.name: r for r in results}
+    formula = by_name["area-formula"]
+    assert len(formula.failures) == formula.checked == len(all_dyck(7, 5, 1))
+    assert all(f.endswith(" formula=undefined") for f in formula.failures)
+    assert all(r.passed for name, r in by_name.items() if name != "area-formula")
+    assert run_checks(params, jobs=2) == results
+    assert main(["verify", "--m", "7", "--n", "5"]) == 1
+    assert "FAIL area-formula: " in capsys.readouterr().out
 
 
 def test_broken_green_line_is_caught(monkeypatch):
