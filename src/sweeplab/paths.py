@@ -13,10 +13,14 @@ they match the columns of the stretched diagram in `diagram`.
 
 A word's start ranks are computed at most once.  Two builders already
 hold them and hand them over through `hand_over_ranks`: the enumeration
-walk, which tracks every step's rank, and `recursion.apply_move`, whose
-swapped word differs from its parent in one start rank.  Any other word
-(a sweep image, a parsed word) computes its ranks on first use, as a
-running sum (`itertools.accumulate`) of the step each letter contributes.
+and `recursion.apply_move`, whose swapped word differs from its parent in
+one start rank.  The enumeration walk (`_walk`) keeps each step's letter
+and start rank in two lists that it changes in place and yields after
+every path; `enumerate_dyck` copies them into a word with its ranks, and
+a consumer that needs no word, such as the unsweep table in `sweeping`,
+reads the lists directly.  Any other word (a sweep image, a parsed word)
+computes its ranks on first use, as a running sum (`itertools.accumulate`)
+of the step each letter contributes.
 """
 
 from __future__ import annotations
@@ -127,10 +131,6 @@ class StepWord:
     def __hash__(self) -> int:
         return hash(self.steps)
 
-    def letter(self, column: int) -> str:
-        """The letter at 1-based position `column`."""
-        return self.steps[column - 1]
-
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
         """The starting rank of each step; see start_ranks.
@@ -201,14 +201,8 @@ def require_dyck(word: StepWord) -> None:
         raise NotDyck(f"not a Dyck path: {word.text}")
 
 
-def enumerate_dyck(params: Params, limit: int | None = None):
-    """Yield every (dm,dn)-Dyck path exactly once, in lexicographic order
-    with N < E.
-
-    Backtracking with the rank pruning rule: an East step is only emitted
-    while the running rank stays nonnegative.  A partial word with all
-    ranks nonnegative always completes (append the remaining North steps,
-    then the remaining East steps), so the search has no dead ends.
+def check_step_limit(params: Params, limit: int | None = None) -> None:
+    """Refuse an enumeration of more than `limit` steps per word.
 
     Raises LimitExceeded when d(m+n) exceeds `limit` (default:
     DEFAULT_STEP_LIMIT), and ValueError when `limit` is not a positive int
@@ -222,16 +216,35 @@ def enumerate_dyck(params: Params, limit: int | None = None):
         raise LimitExceeded(
             f"{params.step_count} steps exceed the enumeration limit {limit}"
         )
-    return _enumerate(params)
 
 
-def _enumerate(params: Params):
+def enumerate_dyck(params: Params, limit: int | None = None):
+    """Yield every (dm,dn)-Dyck path exactly once, in lexicographic order
+    with N < E, each with the start ranks the walk tracked.
+
+    Backtracking with the rank pruning rule: an East step is only emitted
+    while the running rank stays nonnegative.  A partial word with all
+    ranks nonnegative always completes (append the remaining North steps,
+    then the remaining East steps), so the search has no dead ends.
+
+    The limit is checked by check_step_limit when this is called, not when
+    the first path is drawn.
+    """
+    check_step_limit(params, limit)
+    return (
+        hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
+        for steps, ranks in _walk(params)
+    )
+
+
+def _walk(params: Params):
     """Iterative backtracking: complete the prefix with its smallest
     continuation (the remaining North steps, then East steps), then turn
     the rightmost North step that may become East into East.
 
-    The walk keeps every step's start rank, so each yielded word gets that
-    tuple as its cached ranks instead of computing them again."""
+    Yields the same two lists after every path, the letters and the start
+    rank of each step, and changes them in place afterwards; a consumer
+    copies what it keeps.  No limit is checked here."""
     m, n = params.m, params.n
     length = params.step_count
     steps = [NORTH] * length
@@ -247,7 +260,7 @@ def _enumerate(params: Params):
             else:
                 steps[i] = EAST
                 rank -= n
-        yield hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
+        yield steps, ranks
         pos = length - 1
         while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
             norths += steps[pos] == NORTH

@@ -7,13 +7,14 @@ slope, so within one level the line meets the rightmost start first.  The
 key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
-`sweep_key` is the one definition of that order.  `sweep_order` realizes
-it with one stable sort of the columns, listed right to left, by the start
-ranks that `paths` caches on the word: equal ranks keep their input order,
-which is rightmost first, so no key tuple is built.  Code that only asks
-whether one step is swept before another compares plain ranks and columns:
-the step at column c with start rank r comes before the one at column c'
-with rank r' iff r < r', or r == r' and c > c'.
+`sweep_key` is the one definition of that order.  `_sweep_columns`
+realizes it with one stable sort of the columns, listed right to left, by
+start rank: equal ranks keep their input order, which is rightmost first,
+so no key tuple is built.  `sweep_order` applies it to the start ranks
+that `paths` caches on a word.  Code that only asks whether one step is
+swept before another compares plain ranks and columns: the step at
+column c with start rank r comes before the one at column c' with rank
+r' iff r < r', or r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of
@@ -22,6 +23,12 @@ line through each step's start.  It never consults the sweep order, so the
 two routes are independent and serve as mutual checks.  It counts a whole
 path in one call, one pass over the arrows in its own line order, so
 `verify` pays one call per path; `green_line_rank` reads one step off it.
+
+`unsweep` looks the preimage up in a table of every Dyck path of the
+parameters.  The table is filled straight from the enumeration walk: each
+path's letters are read in the order that `_sweep_columns` gives the
+walk's start ranks, the same sort that `sweep` reads, and joined into the
+image text, so no word is built for the table.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from .paths import (
     NORTH,
     Params,
     StepWord,
-    enumerate_dyck,
+    _walk,
+    check_step_limit,
     require_dyck,
     start_ranks,
 )
@@ -78,15 +86,20 @@ class GreenLine:
         return self.strictly_below(rank, column - 1)
 
 
-def sweep_order(word: StepWord) -> tuple[int, ...]:
-    """Step positions (1-based) sorted into sweep order.
+def _sweep_columns(ranks) -> list[int]:
+    """The columns (1-based) of steps with these start ranks, in sweep order.
 
     One stable sort of the columns, right to left, by start rank: columns
     of equal rank keep their input order, rightmost first, which is the
     order of sweep_key.
     """
-    ranks = (None, *start_ranks(word))  # indexed by column
-    return tuple(sorted(range(len(word), 0, -1), key=ranks.__getitem__))
+    by_column = (None, *ranks)
+    return sorted(range(len(ranks), 0, -1), key=by_column.__getitem__)
+
+
+def sweep_order(word: StepWord) -> tuple[int, ...]:
+    """Step positions (1-based) sorted into sweep order; see _sweep_columns."""
+    return tuple(_sweep_columns(start_ranks(word)))
 
 
 def sweep(word: StepWord) -> StepWord:
@@ -206,23 +219,27 @@ INVERSE_TABLES_KEPT = 4
 @functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
 def _inverse_table(params: Params) -> dict[str, str]:
     # Text values: a StepWord value would keep its cached ranks alive.
-    words = enumerate_dyck(params, params.step_count)
-    return {sweep(w).text: w.text for w in words}
+    return {
+        "".join([steps[c - 1] for c in _sweep_columns(ranks)]): "".join(steps)
+        for steps, ranks in _walk(params)
+    }
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
-    Looked up in a table from image text to preimage text, built by
-    enumerating all Dyck paths of the parameters; the tables of the last
-    INVERSE_TABLES_KEPT parameter sets used are cached.  The parameters must
-    be within the enumeration limit, on every call, whether or not the
-    table is already cached; LimitExceeded otherwise.  Raises NotInImage
+    Looked up in a table from image text to preimage text, built in one
+    pass of the enumeration walk over all Dyck paths of the parameters:
+    each path's letters are read in the sweep order of its walk ranks, with
+    no StepWord built.  The tables of the last INVERSE_TABLES_KEPT
+    parameter sets used are cached.  The parameters must be within the
+    enumeration limit (check_step_limit), on every call, whether or not
+    the table is already cached; LimitExceeded otherwise.  Raises NotInImage
     if the lookup fails, which cannot happen for a Dyck input unless the
     library is inconsistent.
     """
     require_dyck(image)
-    enumerate_dyck(image.params, limit)  # checks the limit, even on a cache hit
+    check_step_limit(image.params, limit)  # even on a cache hit
     table = _inverse_table(image.params)
     try:
         return StepWord(tuple(table[image.text]), image.params)

@@ -248,7 +248,7 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     """
     if type(jobs) is not int or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    paths.enumerate_dyck(params, limit)  # checks the limit before any work
+    paths.check_step_limit(params, limit)  # before any work
     path_count = paths.count_dyck(params)
     workers = _worker_count(jobs, path_count)
 

@@ -64,7 +64,7 @@ class TestBuildDiagram:
         for word in arrangements(m, n, d):
             ranks = start_ranks(word)
             expected = tuple(
-                (c, RED if word.letter(c) == "N" else BLUE, ranks[c - 1])
+                (c, RED if word.steps[c - 1] == "N" else BLUE, ranks[c - 1])
                 for c in range(1, len(word) + 1)
             )
             assert build_diagram(word).arrows == expected, word.text

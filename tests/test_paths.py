@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sweeplab import (
@@ -15,10 +17,13 @@ from sweeplab import (
     is_dyck,
     make_params,
     parse_word,
+    run_checks,
     south_end_ranks,
     start_ranks,
+    unsweep,
     vertex_ranks,
 )
+from sweeplab.paths import _walk, check_step_limit
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
@@ -48,7 +53,7 @@ class TestParseWord:
     def test_plain(self, p321):
         word = parse_word("NENEE", p321)
         assert word.text == "NENEE"
-        assert word.letter(1) == "N" and word.letter(2) == "E"
+        assert word.steps[:2] == ("N", "E")
 
     def test_synonyms(self, p321):
         assert parse_word("SWSWW", p321) == parse_word("NENEE", p321)
@@ -127,6 +132,13 @@ class TestRanks:
             assert "_ranks" in vars(word)
             assert start_ranks(word) == start_ranks(StepWord(word.steps, params))
 
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_walk_yields_the_letters_and_ranks_of_each_path(self, m, n, d):
+        # the walk yields the same two lists each time, so each is copied
+        params = make_params(m, n, d)
+        walked = [(tuple(steps), tuple(ranks)) for steps, ranks in _walk(params)]
+        assert walked == [(w.steps, start_ranks(w)) for w in enumerate_dyck(params)]
+
 
 class TestIsDyck:
     def test_examples(self, p321):
@@ -186,6 +198,25 @@ class TestEnumerate:
         for limit in (0, -5, True, 40.5):
             with pytest.raises(ValueError, match="limit must be a positive integer"):
                 enumerate_dyck(make_params(3, 2, 1), limit=limit)
+
+    @pytest.mark.parametrize(
+        "limit,error,message",
+        [
+            (4, LimitExceeded, "5 steps exceed the enumeration limit 4"),
+            (0, ValueError, "limit must be a positive integer, got 0"),
+        ],
+    )
+    def test_every_enumerating_call_refuses_with_one_check(self, limit, error, message):
+        params = make_params(3, 2, 1)
+        calls = [
+            lambda: check_step_limit(params, limit),
+            lambda: enumerate_dyck(params, limit),
+            lambda: run_checks(params, limit),
+            lambda: unsweep(corner_path(params), limit),
+        ]
+        for call in calls:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestCount:

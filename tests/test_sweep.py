@@ -117,7 +117,7 @@ class TestImageStartRank:
                     continue
                 hits += 1
                 order = sweep_order(word)
-                earlier = [word.letter(c) for c in order[: pos - 1]]
+                earlier = [word.steps[c - 1] for c in order[: pos - 1]]
                 assert earlier.count("N") == 4 and earlier.count("E") == 2
                 assert image_start_rank(word, pos) == 18
         assert hits > 0
@@ -262,6 +262,34 @@ class TestUnsweep:
         # the table for (3,2,1) is cached now; the cap must still hold
         with pytest.raises(LimitExceeded):
             unsweep(word, limit=2)
+
+    def test_table_equals_the_swept_enumeration(self):
+        # built from the walk with no word, on the d = 2 and 3 sets too,
+        # where rank ties go through the sort
+        tables = sweeplab.sweeping._inverse_table
+        tables.cache_clear()
+        for (m, n, d) in WIDE_SETS:
+            expected = {sweep(w).text: w.text for w in all_dyck(m, n, d)}
+            assert tables(make_params(m, n, d)) == expected
+
+    def test_one_sort_serves_sweep_and_table(self, monkeypatch):
+        # a wrong tie rule, leftmost first, reaches sweep and the table alike
+        params = make_params(3, 2, 2)
+        true_table = {sweep(w).text: w.text for w in all_dyck(3, 2, 2)}
+
+        def leftmost_first(ranks):
+            return sorted(range(1, len(ranks) + 1), key=lambda c: ranks[c - 1])
+
+        tables = sweeplab.sweeping._inverse_table
+        monkeypatch.setattr(sweeplab.sweeping, "_sweep_columns", leftmost_first)
+        tables.cache_clear()
+        try:
+            table = tables(params)
+            assert table != true_table
+            for image, preimage in table.items():
+                assert sweep(parse_word(preimage, params)).text == image
+        finally:
+            tables.cache_clear()  # drop the table of the wrong order
 
     def test_cache_is_bounded(self):
         kept = sweeplab.sweeping.INVERSE_TABLES_KEPT
