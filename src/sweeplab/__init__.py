@@ -18,7 +18,6 @@ from .errors import (
     NonPositive,
     NotDyck,
     NotInImage,
-    RowOutOfRange,
     SweeplabError,
 )
 from .paths import (
@@ -36,19 +35,14 @@ from .paths import (
     parse_word,
     south_end_ranks,
     start_ranks,
-    vertex_ranks,
 )
 from .diagram import (
     Arrow,
     PathDiagram,
-    RowCounts,
     build_diagram,
     check_row_structure,
-    row_counts,
-    segments_in_row,
 )
 from .sweeping import (
-    GreenLine,
     green_line_rank,
     green_line_ranks,
     image_start_rank,
@@ -64,7 +58,6 @@ from .stats import (
     dinv_cells,
     dinv_pairs,
     joint_distribution,
-    least_row_rank,
     max_stat,
 )
 from .recursion import (

@@ -29,10 +29,6 @@ class LimitExceeded(SweeplabError):
     """Requested enumeration is larger than the configured step limit."""
 
 
-class RowOutOfRange(SweeplabError):
-    """A row index lies outside the valid range."""
-
-
 class IndexOutOfRange(SweeplabError):
     """A step or sweep position lies outside 1..len(word)."""
 

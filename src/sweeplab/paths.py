@@ -186,11 +186,6 @@ def start_ranks(word: StepWord) -> tuple[int, ...]:
     return word._ranks
 
 
-def vertex_ranks(word: StepWord) -> tuple[int, ...]:
-    """Ranks of all d(m+n)+1 path vertices; the last one is always 0."""
-    return start_ranks(word) + (0,)
-
-
 def is_dyck(word: StepWord) -> bool:
     """True iff every vertex rank along the path is nonnegative."""
     return min(start_ranks(word)) >= 0

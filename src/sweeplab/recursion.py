@@ -163,7 +163,7 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     """
     apply_move(word, move)
     m, n = word.params.m, word.params.n
-    p, k = move.position, move.level
+    p, k = move
     ranks = start_ranks(word)
 
     red_top_left = blue_top_left = blue_bottom_left = 0
@@ -224,19 +224,19 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
 
     Every sweep comparison is a plain rank/column test, the order of
     sweep_key: the step at column c with start rank r is swept before
-    (k, p) iff r < k, or r == k and c > p (GreenLine.strictly_below), and
-    after (k-n, p+1) iff r > k-n, or r == k-n and c <= p.  rank(S') is
-    read off the swapped word's own letters and ranks, against its own
-    rank at column p+1, so the check does not lean on the original word
-    for it.  One pass over the two words side by side gives both ranks
-    and the band sum m*A - n*B.  The band is counted among the steps swept
-    before (k, p), which is the North step's own place once apply_move has
-    checked the rank at p; the displayed pair needs no test of its own,
-    since step p is the bound and step p+1 starts at k+m, above it.
+    (k, p) iff r < k, or r == k and c > p, and after (k-n, p+1) iff
+    r > k-n, or r == k-n and c <= p.  rank(S') is read off the swapped
+    word's own letters and ranks, against its own rank at column p+1, so
+    the check does not lean on the original word for it.  One pass over
+    the two words side by side gives both ranks and the band sum
+    m*A - n*B.  The band is counted among the steps swept before (k, p),
+    which is the North step's own place once apply_move has checked the
+    rank at p; the displayed pair needs no test of its own, since step p
+    is the bound and step p+1 starts at k+m, above it.
     """
     swapped = apply_move(word, move)  # validates the move
     m, n = word.params.m, word.params.n
-    p, k = move.position, move.level
+    p, k = move
     low = k - n
     swapped_ranks = start_ranks(swapped)
     after = swapped_ranks[p]

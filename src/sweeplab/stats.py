@@ -26,7 +26,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NonIntegral, RowOutOfRange
+from .errors import NonIntegral
 from .paths import (
     EAST,
     NORTH,
@@ -81,14 +81,6 @@ def area_rank_formula(word: StepWord) -> int:
             f"rank sum {rank_sum} is not congruent for {word.text} with {params}"
         )
     return quotient
-
-
-def least_row_rank(j: int, params: Params) -> int:
-    """The least nonnegative cell rank in grid row j, an int in
-    0..dn-1: (m*j) mod n."""
-    if type(j) is not int or not 0 <= j < params.north_count:
-        raise RowOutOfRange(f"row {j!r} outside 0..{params.north_count - 1}")
-    return (params.m * j) % params.n
 
 
 def dinv_pairs(word: StepWord) -> int:

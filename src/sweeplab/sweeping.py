@@ -34,7 +34,6 @@ image text, so no word is built for the table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, NotInImage
 from .paths import (
@@ -56,34 +55,6 @@ def sweep_key(rank: int, column: int) -> tuple[int, int]:
     this rank/column test is what the move checks inline, step by step.
     """
     return (rank, -column)
-
-
-@dataclass(frozen=True)
-class GreenLine:
-    """The line of infinitesimal positive slope through a step's start.
-
-    level is the start rank of the reference step and ref_column its
-    1-based position, so the line passes through the point
-    (ref_column - 1, level).  The slope is symbolic: a point at integer
-    height h and x-coordinate x is strictly below the line iff h < level,
-    or h == level and x > ref_column - 1.  Points on the line
-    (h == level, x == x0) are not below it.
-    """
-
-    level: int
-    ref_column: int
-
-    @property
-    def x0(self) -> int:
-        return self.ref_column - 1
-
-    def strictly_below(self, h: int, x: int) -> bool:
-        return h < self.level or (h == self.level and x > self.x0)
-
-    def start_strictly_below(self, rank: int, column: int) -> bool:
-        """Whether the arrow starting at (column - 1, rank) lies strictly
-        below the line; equivalent to being swept before the reference."""
-        return self.strictly_below(rank, column - 1)
 
 
 def _sweep_columns(ranks) -> list[int]:
@@ -144,9 +115,9 @@ def green_line_ranks(word: StepWord) -> tuple[int, ...]:
 
     "Swept before" is decided by the line alone, never by the sweep
     order: the arrow at x-coordinate x with start rank h starts strictly
-    below the line through (s - 1, L) iff h < L, or h == L and x > s - 1
-    (GreenLine.strictly_below).  So a sweep that disagrees with the
-    geometry shows up as a rank mismatch rather than being trusted.
+    below the line through (s - 1, L) iff h < L, or h == L and x > s - 1.
+    So a sweep that disagrees with the geometry shows up as a rank
+    mismatch rather than being trusted.
 
     One call counts every step in one pass over the arrows sorted by
     (h, -x), which is the order of that predicate: the arrows strictly

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from sweeplab import Params, StepWord, enumerate_dyck, make_params
+from sweeplab.diagram import RED
 
 # Every parameter set exercised by the acceptance suite; the d > 1 sets
 # exercise the rank-tie rules.
@@ -43,6 +44,20 @@ def arrangements(m: int, n: int, d: int):
         for i in norths:
             steps[i] = "N"
         yield StepWord(tuple(steps), params)
+
+
+def row_segments(diagram) -> dict[int, list[tuple[int, str]]]:
+    """Row -> its (column, color) segments in arrow order, which is left to
+    right for a built diagram; only the rows some arrow crosses appear.
+    Row j is the band between levels j and j+1, so an up arrow from level
+    r crosses rows r..r+m-1 and a down arrow rows r-n..r-1."""
+    m, n = diagram.params.m, diagram.params.n
+    rows: dict[int, list[tuple[int, str]]] = {}
+    for column, color, start in diagram.arrows:
+        span = range(start, start + m) if color == RED else range(start - n, start)
+        for j in span:
+            rows.setdefault(j, []).append((column, color))
+    return rows
 
 
 def golden_bytes(name: str) -> bytes:

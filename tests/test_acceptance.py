@@ -40,7 +40,8 @@ from sweeplab import (
     valid_moves,
 )
 from sweeplab.cli import main
-from conftest import PARAM_SETS, all_dyck, golden_bytes
+from sweeplab.diagram import BLUE, RED
+from conftest import PARAM_SETS, all_dyck, golden_bytes, row_segments
 
 
 def criterion(number, name):
@@ -106,14 +107,13 @@ def test_c05_green_line_rank():
 
 @criterion(6, "zero row counts and red-blue alternation")
 def test_c06_diagram_structure():
-    from sweeplab import row_counts
-
     for (m, n, d) in PARAM_SETS:
         for word in all_dyck(m, n, d):
             diagram = build_diagram(word)
             assert check_row_structure(diagram), word.text
-            for j in range(diagram.height):
-                assert row_counts(diagram, j).c == 0, (word.text, j)
+            for j, segs in row_segments(diagram).items():
+                colors = [color for _, color in segs]
+                assert colors.count(RED) == colors.count(BLUE), (word.text, j)
 
 
 @criterion(7, "removal-move recursions and cross-identities")

@@ -4,25 +4,26 @@ import pytest
 
 from sweeplab import (
     PathDiagram,
-    RowOutOfRange,
     build_diagram,
     check_row_structure,
     is_dyck,
     make_params,
     parse_word,
-    row_counts,
-    segments_in_row,
     start_ranks,
 )
 from sweeplab.diagram import BLUE, RED
-from conftest import PARAM_SETS, all_dyck, arrangements
+from conftest import PARAM_SETS, all_dyck, arrangements, row_segments
+
+
+def _colors(segs):
+    return [color for _, color in segs]
 
 
 def rows_alternate(diagram):
     """check_row_structure in list-compare form: every row's colors, as
-    PathDiagram.rows lists them, equal (red, blue) repeated."""
-    for segs in diagram.rows.values():
-        if [color for _, color in segs] != [RED, BLUE] * (len(segs) // 2):
+    row_segments lists them, equal (red, blue) repeated."""
+    for segs in row_segments(diagram).values():
+        if _colors(segs) != [RED, BLUE] * (len(segs) // 2):
             return False
     return True
 
@@ -69,87 +70,57 @@ class TestBuildDiagram:
             )
             assert build_diagram(word).arrows == expected, word.text
 
-    def test_rectangle_dimensions(self):
-        diagram = build_diagram(parse_word("NNEEE", make_params(3, 2)))
-        assert diagram.width == 5 and diagram.height == 6
-
 
 class TestSegmentsInRow:
     def test_row2(self, p321):
         diagram = build_diagram(parse_word("NNEEE", p321))
-        assert segments_in_row(diagram, 2) == [(1, RED), (4, BLUE)]
+        assert row_segments(diagram)[2] == [(1, RED), (4, BLUE)]
 
     def test_row5(self, p321):
         diagram = build_diagram(parse_word("NNEEE", p321))
-        assert segments_in_row(diagram, 5) == [(2, RED), (3, BLUE)]
+        assert row_segments(diagram)[5] == [(2, RED), (3, BLUE)]
 
     def test_empty_row_above_all_arrows(self, p321):
         # NENEE's arrows top out at level 4, so rows 4 and 5 are empty
-        diagram = build_diagram(parse_word("NENEE", p321))
-        assert segments_in_row(diagram, 4) == []
-        assert segments_in_row(diagram, 5) == []
-
-    def test_out_of_range(self, p321):
-        diagram = build_diagram(parse_word("NNEEE", p321))
-        with pytest.raises(RowOutOfRange):
-            segments_in_row(diagram, 6)
-        with pytest.raises(RowOutOfRange):
-            segments_in_row(diagram, -1)
-
-    @pytest.mark.parametrize("value", [2.0, True, "2"])
-    @pytest.mark.parametrize("query", [segments_in_row, row_counts])
-    def test_non_int_row_refused(self, query, value, p321):
-        # 2.0 and True hash like rows 2 and 1, but an int is required
-        diagram = build_diagram(parse_word("NNEEE", p321))
-        with pytest.raises(RowOutOfRange, match="outside 0..5"):
-            query(diagram, value)
+        rows = row_segments(build_diagram(parse_word("NENEE", p321)))
+        assert max(rows) == 3
 
     def test_column_crosses_row_at_most_once(self):
         for (m, n, d) in PARAM_SETS:
             for word in all_dyck(m, n, d):
-                diagram = build_diagram(word)
-                for j in range(diagram.height):
-                    columns = [c for c, _ in segments_in_row(diagram, j)]
+                for segs in row_segments(build_diagram(word)).values():
+                    columns = [c for c, _ in segs]
                     assert len(set(columns)) == len(columns)
                     assert columns == sorted(columns)
 
 
 class TestRowCounts:
     def test_rows_of_nneee(self, p321):
-        diagram = build_diagram(parse_word("NNEEE", p321))
-        assert (row_counts(diagram, 2).c_red, row_counts(diagram, 2).c_blue) == (1, 1)
-        assert (row_counts(diagram, 0).c_red, row_counts(diagram, 0).c_blue) == (1, 1)
-        assert row_counts(diagram, 0).c == 0
+        rows = row_segments(build_diagram(parse_word("NNEEE", p321)))
+        assert sorted(_colors(rows[2])) == [BLUE, RED]
+        assert sorted(_colors(rows[0])) == [BLUE, RED]
 
     def test_total_segment_count(self):
         # every up arrow spans m rows and every down arrow n rows, so both
         # colors contribute dmn segments in total
         for (m, n, d) in PARAM_SETS:
             for word in all_dyck(m, n, d):
-                diagram = build_diagram(word)
-                reds = blues = 0
-                for j in range(diagram.height):
-                    counts = row_counts(diagram, j)
-                    reds += counts.c_red
-                    blues += counts.c_blue
-                assert reds == blues == d * m * n
+                colors = [
+                    color
+                    for segs in row_segments(build_diagram(word)).values()
+                    for color in _colors(segs)
+                ]
+                assert colors.count(RED) == colors.count(BLUE) == d * m * n
 
     def test_zero_row_count_holds_even_off_dyck(self, p321):
         # the arrows chain into one closed zigzag from level 0 back to
         # level 0, so red and blue counts agree in every row for any
         # complete word; it is the alternation start color, not c(j),
         # that detects non-Dyck words
-        word = parse_word("NEENE", p321)
-        diagram = build_diagram(word)
-        for j in diagram.attained_rows():
-            reds = blues = 0
-            for arrow in diagram.arrows:
-                if j in arrow.row_span(p321):
-                    if arrow.color == RED:
-                        reds += 1
-                    else:
-                        blues += 1
-            assert reds == blues
+        rows = row_segments(build_diagram(parse_word("NEENE", p321)))
+        assert min(rows) == -1
+        for segs in rows.values():
+            assert _colors(segs).count(RED) == _colors(segs).count(BLUE)
 
 
 class TestRowStructure:
@@ -163,11 +134,12 @@ class TestRowStructure:
 
     def test_non_dyck_fails(self, p321):
         # NEENE dips to rank -1; its row at level -1 starts with a blue
-        # segment, which the attained-row scan catches
+        # segment, which the row walk catches
         word = parse_word("NEENE", p321)
         assert not is_dyck(word)
         diagram = build_diagram(word)
-        assert diagram.attained_rows().start == -1
+        rows = row_segments(diagram)
+        assert min(rows) == -1 and rows[-1][0][1] == BLUE
         assert not check_row_structure(diagram)
 
     def test_equals_the_list_compare_on_every_arrangement(self):
@@ -180,7 +152,7 @@ class TestRowStructure:
             assert outcomes == {True, False}
 
     def test_any_arrows_in_any_order(self, p321):
-        # the walk reads the arrows in tuple order, as `rows` lists them;
+        # the walk reads the arrows in tuple order, as row_segments lists them;
         # a selection of a word's arrows can leave a row unbalanced, and
         # the empty selection passes
         outcomes = set()
@@ -195,18 +167,12 @@ class TestRowStructure:
         assert outcomes == {True, False}
         assert check_row_structure(PathDiagram(p321, ()))
 
-    def test_empty_diagram_attains_no_row(self, p321):
-        # the row walk accepts this diagram (above); it has no row to report
-        assert PathDiagram(p321, ()).attained_rows() == range(0)
-
     def test_alternation_prefix_suffix_balance(self):
         # before any red segment the row holds equally many reds and
         # blues; after it, exactly one more blue than red
         for (m, n, d) in PARAM_SETS:
             for word in all_dyck(m, n, d):
-                diagram = build_diagram(word)
-                for j in range(diagram.height):
-                    segs = segments_in_row(diagram, j)
+                for segs in row_segments(build_diagram(word)).values():
                     for i, (_, color) in enumerate(segs):
                         if color != RED:
                             continue

@@ -24,7 +24,6 @@ from sweeplab import (
     sweep_order,
     unsweep,
     valid_moves,
-    vertex_ranks,
 )
 from sweeplab.sweeping import sweep_key
 from conftest import all_dyck
@@ -73,7 +72,7 @@ def long_dyck_words(draw):
     params = make_params(m, n, d)
     letters = ["N"] * params.north_count + ["E"] * params.east_count
     steps = draw(st.permutations(letters))
-    ranks = vertex_ranks(parse_word("".join(steps), params))
+    ranks = start_ranks(parse_word("".join(steps), params)) + (0,)
     start = ranks.index(min(ranks))
     return parse_word("".join(steps[start:] + steps[:start]), params)
 
@@ -111,7 +110,7 @@ def complete_words(draw):
 @given(complete_words())
 def test_rank_recurrence(word):
     m, n = word.params.m, word.params.n
-    ranks = vertex_ranks(word)
+    ranks = start_ranks(word) + (0,)
     assert ranks[0] == 0 and ranks[-1] == 0
     for i, ch in enumerate(word.steps):
         assert ranks[i + 1] - ranks[i] == (m if ch == "N" else -n)
@@ -120,7 +119,7 @@ def test_rank_recurrence(word):
 
 @given(complete_words())
 def test_dyck_iff_vertex_ranks_nonnegative(word):
-    assert is_dyck(word) == (min(vertex_ranks(word)) >= 0)
+    assert is_dyck(word) == (min(start_ranks(word) + (0,)) >= 0)
 
 
 @given(complete_words())

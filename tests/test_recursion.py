@@ -232,6 +232,19 @@ def test_every_move_reader_rejects_bad_moves(caller, text, move, p321):
         caller(parse_word(text, p321), move)
 
 
+@pytest.mark.parametrize("m,n,d", [(3, 2, 1), (1, 1, 2), (5, 3, 2)])
+@pytest.mark.parametrize(
+    "reader",
+    [region_counts, area_recursion_delta, dinv_recursion_delta, rank_difference_check],
+)
+def test_every_move_reader_takes_a_plain_pair(reader, m, n, d):
+    # apply_move validates a plain (position, level) tuple, so each reader
+    # unpacks it the same way and agrees with the RemovalMove form
+    for word in all_dyck(m, n, d):
+        for move in valid_moves(word):
+            assert reader(word, tuple(move)) == reader(word, move), (word.text, move)
+
+
 class TestRegionCounts:
     def test_nneee(self, p321):
         word = parse_word("NNEEE", p321)

@@ -4,7 +4,6 @@ from sweeplab import (
     EAST,
     NORTH,
     NotDyck,
-    RowOutOfRange,
     area_cells,
     area_rank_formula,
     base_path,
@@ -13,7 +12,6 @@ from sweeplab import (
     dinv_cells,
     dinv_pairs,
     joint_distribution,
-    least_row_rank,
     make_params,
     max_stat,
     parse_word,
@@ -94,33 +92,13 @@ class TestAreaRankFormula:
 
 
 class TestLeastRowRank:
-    def test_row_zero(self):
-        assert least_row_rank(0, make_params(5, 3, 1)) == 0
-
-    def test_75_rows(self):
-        params = make_params(7, 5, 1)
-        values = [least_row_rank(j, params) for j in range(5)]
-        assert values == [0, 2, 4, 1, 3]
-        assert sum(values) == 5 * 4 // 2
-
-    def test_321_rows(self, p321):
-        assert [least_row_rank(j, p321) for j in range(2)] == [0, 1]
+    # the least nonnegative cell rank in grid row j is (m*j) mod n
 
     def test_sum_identity(self):
         for (m, n, d) in PARAM_SETS:
             params = make_params(m, n, d)
-            total = sum(least_row_rank(j, params) for j in range(params.north_count))
+            total = sum((m * j) % n for j in range(params.north_count))
             assert total == d * n * (n - 1) // 2
-
-    def test_out_of_range(self, p321):
-        with pytest.raises(RowOutOfRange):
-            least_row_rank(2, p321)
-
-    @pytest.mark.parametrize("value", [2.0, True, "2"])
-    def test_non_int_row_refused(self, value):
-        # rows 0..2 of (5,3): 2.0 and True lie in range, but are no int
-        with pytest.raises(RowOutOfRange, match="outside 0..2"):
-            least_row_rank(value, make_params(5, 3))
 
     def test_per_row_area_decomposition(self):
         # (south rank - least row rank)/n is a nonnegative integer per
@@ -131,7 +109,7 @@ class TestLeastRowRank:
                 souths = south_end_ranks(word)
                 contributions = []
                 for j in range(params.north_count):
-                    q, r = divmod(souths[j] - least_row_rank(j, params), n)
+                    q, r = divmod(souths[j] - (m * j) % n, n)
                     assert r == 0 and q >= 0
                     contributions.append(q)
                 assert sum(contributions) == area_cells(word)

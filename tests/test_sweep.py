@@ -1,7 +1,6 @@
 import pytest
 
 from sweeplab import (
-    GreenLine,
     IndexOutOfRange,
     LimitExceeded,
     NotDyck,
@@ -130,32 +129,26 @@ class TestImageStartRank:
 
 
 def _green_line_count(word, step):
-    """The A + B count of green_line_rank in plain loop form: one
-    start_strictly_below call per arrow, and clipping that assumes nothing
-    about which side of the line an arrow starts on."""
+    """The A + B count of green_line_rank in plain loop form: one line
+    test per arrow, and clipping that assumes nothing about which side of
+    the line an arrow starts on.  The arrow of column c with start rank r
+    starts strictly below the line through the step's start iff r < level,
+    or r == level and c > step."""
     m, n = word.params.m, word.params.n
     ranks = start_ranks(word)
-    line = GreenLine(level=ranks[step - 1], ref_column=step)
+    level = ranks[step - 1]
     above = below = 0
     for column, (letter, rank) in enumerate(zip(word.steps, ranks), start=1):
-        starts_below = line.start_strictly_below(rank, column)
+        starts_below = rank < level or (rank == level and column > step)
         if letter == "N":
             if starts_below:
-                above += max(0, rank + m - max(line.level, rank))
+                above += max(0, rank + m - max(level, rank))
         elif not starts_below:
-            below += max(0, min(rank, line.level) - (rank - n))
+            below += max(0, min(rank, level) - (rank - n))
     return above + below
 
 
 class TestGreenLine:
-    def test_point_classification(self):
-        line = GreenLine(level=1, ref_column=3)
-        assert line.strictly_below(0, 4)
-        # on the reference level the x coordinate decides
-        assert line.strictly_below(1, 3)
-        # the reference point itself is not below the line
-        assert not line.strictly_below(1, 2)
-
     def test_worked_example(self, p321):
         # the up arrow of column 1 has two segments weakly above level 1
         # and the column-5 down arrow one segment below it: image rank 3
