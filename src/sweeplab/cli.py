@@ -167,14 +167,24 @@ def _cmd_stats(args, params) -> int:
 
 
 def _cmd_enumerate(args, params) -> int:
-    # enumerate_dyck checks the limit here, before the output is opened
-    words = paths.enumerate_dyck(params, args.limit)
+    paths.check_step_limit(params, args.limit)  # before the output is opened
     line = _LINES[args.format]
+    for key in ("m", "n", "d"):  # fixed once, for every line
+        line = line.replace("{%s}" % key, str(getattr(params, key)))
+    # The walk yields only Dyck paths with the right letter counts, so the
+    # kernels read its lists with no word built and no Dyck check per path.
+    area, dinv, image = stats._area_cells, stats._dinv_pairs, sweeping._image_text
     with _output(args.out) as fh:
+        write = fh.write
         if args.format == "csv":
-            fh.write("word,m,n,d,area,dinv,sweep\n")
-        for word in words:
-            fh.write(line.format_map(_record(word)))
+            write("word,m,n,d,area,dinv,sweep\n")
+        for steps, ranks in paths._walk(params):
+            write(line.format(
+                word="".join(steps),
+                area=area(steps, params),
+                dinv=dinv(steps, ranks, params),
+                sweep=image(steps, ranks),
+            ))
     return EXIT_OK
 
 

@@ -16,11 +16,13 @@ hold them and hand them over through `hand_over_ranks`: the enumeration
 and `recursion.apply_move`, whose swapped word differs from its parent in
 one start rank.  The enumeration walk (`_walk`) keeps each step's letter
 and start rank in two lists that it changes in place and yields after
-every path; `enumerate_dyck` copies them into a word with its ranks, and
-a consumer that needs no word, such as the unsweep table in `sweeping`,
-reads the lists directly.  Any other word (a sweep image, a parsed word)
-computes its ranks on first use, as a running sum (`itertools.accumulate`)
-of the step each letter contributes.
+every path; `enumerate_dyck` copies them into a word with its ranks.
+The consumers that need no word read the lists directly: the unsweep
+table in `sweeping`, `sweeplab enumerate` and `stats.joint_distribution`
+(`sweeplab table`).  They check no path, since the walk's pruning yields
+only Dyck paths with dn North and dm East letters.  Any other word (a
+sweep image, a parsed word) computes its ranks on first use, as a running
+sum (`itertools.accumulate`) of the step each letter contributes.
 """
 
 from __future__ import annotations

@@ -16,6 +16,15 @@ a, b satisfy 0 <= a - b < m + n.  dinv_pairs counts them for each North
 step by bisecting the sorted start ranks of the East steps before it, in
 O(L log L) comparisons; dinv_cell_list tests the same inequality cell by
 cell over the cells above the path, in O(L^2).
+
+Each formulation has one body.  area_cells and dinv_pairs are public
+wrappers: each refuses a non-Dyck word (require_dyck), then calls its
+private kernel, _area_cells over the letters or _dinv_pairs over the
+letters and start ranks, which checks nothing.  A caller that reads the
+enumeration walk (`paths._walk`), which yields only Dyck paths, calls the
+kernels on the walk's lists with no word built: joint_distribution here
+and `sweeplab enumerate`.  verify calls the wrappers, so a broken kernel
+shows there as well.
 """
 
 from __future__ import annotations
@@ -32,7 +41,8 @@ from .paths import (
     NORTH,
     Params,
     StepWord,
-    enumerate_dyck,
+    _walk,
+    check_step_limit,
     require_dyck,
     south_end_ranks,
     start_ranks,
@@ -54,9 +64,14 @@ def area_cells(word: StepWord) -> int:
     (0, 1)
     """
     require_dyck(word)
-    m, n = word.params.m, word.params.n
+    return _area_cells(word.steps, word.params)
+
+
+def _area_cells(steps, params: Params) -> int:
+    """area_cells' count over the letters of a Dyck path; unchecked."""
+    m, n = params.m, params.n
     total = x = y = 0
-    for ch in word.steps:
+    for ch in steps:
         if ch == NORTH:
             total += m * y // n - x
             y += 1
@@ -98,10 +113,16 @@ def dinv_pairs(word: StepWord) -> int:
     (1, 0)
     """
     require_dyck(word)
-    width = word.params.m + word.params.n
+    return _dinv_pairs(word.steps, start_ranks(word), word.params)
+
+
+def _dinv_pairs(steps, ranks, params: Params) -> int:
+    """dinv_pairs' count over the letters and start ranks of a Dyck path;
+    unchecked."""
+    width = params.m + params.n
     seen: list[int] = []
     total = 0
-    for ch, rank in zip(word.steps, start_ranks(word)):
+    for ch, rank in zip(steps, ranks):
         if ch == NORTH:
             total += bisect_left(seen, rank + width) - bisect_left(seen, rank)
         else:
@@ -203,9 +224,15 @@ class StatTable:
 
 
 def joint_distribution(params: Params, limit: int | None = None) -> StatTable:
-    """Tabulate (area_cells, dinv_pairs) over every Dyck path."""
+    """Tabulate (area_cells, dinv_pairs) over every Dyck path.
+
+    The two kernels read the enumeration walk's lists directly, with no
+    word built per path: the walk yields only Dyck paths with the right
+    letter counts, so the wrappers' Dyck check has nothing to refuse.
+    """
+    check_step_limit(params, limit)
     counts: dict[tuple[int, int], int] = {}
-    for word in enumerate_dyck(params, limit):
-        key = (area_cells(word), dinv_pairs(word))
+    for steps, ranks in _walk(params):
+        key = (_area_cells(steps, params), _dinv_pairs(steps, ranks, params))
         counts[key] = counts.get(key, 0) + 1
     return StatTable(params, counts)

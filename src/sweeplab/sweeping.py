@@ -24,11 +24,13 @@ two routes are independent and serve as mutual checks.  It counts a whole
 path in one call, one pass over the arrows in its own line order, so
 `verify` pays one call per path; `green_line_rank` reads one step off it.
 
+`_image_text` is the image of a path held as the enumeration walk's two
+lists (`paths._walk`): its letters read in the order that `_sweep_columns`
+gives its start ranks, the same sort that `sweep` reads, joined into text.
 `unsweep` looks the preimage up in a table of every Dyck path of the
-parameters.  The table is filled straight from the enumeration walk: each
-path's letters are read in the order that `_sweep_columns` gives the
-walk's start ranks, the same sort that `sweep` reads, and joined into the
-image text, so no word is built for the table.
+parameters, filled from the walk through `_image_text`, and `sweeplab
+enumerate` writes each walked path's image with it; neither builds a word
+per path.
 """
 
 from __future__ import annotations
@@ -66,6 +68,12 @@ def _sweep_columns(ranks) -> list[int]:
     """
     by_column = (None, *ranks)
     return sorted(range(len(ranks), 0, -1), key=by_column.__getitem__)
+
+
+def _image_text(steps, ranks) -> str:
+    """The text of the sweep image of the path with these letters and start
+    ranks: the letters read in the order of _sweep_columns."""
+    return "".join([steps[c - 1] for c in _sweep_columns(ranks)])
 
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
@@ -190,20 +198,16 @@ INVERSE_TABLES_KEPT = 4
 @functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
 def _inverse_table(params: Params) -> dict[str, str]:
     # Text values: a StepWord value would keep its cached ranks alive.
-    return {
-        "".join([steps[c - 1] for c in _sweep_columns(ranks)]): "".join(steps)
-        for steps, ranks in _walk(params)
-    }
+    return {_image_text(steps, ranks): "".join(steps) for steps, ranks in _walk(params)}
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
     Looked up in a table from image text to preimage text, built in one
-    pass of the enumeration walk over all Dyck paths of the parameters:
-    each path's letters are read in the sweep order of its walk ranks, with
-    no StepWord built.  The tables of the last INVERSE_TABLES_KEPT
-    parameter sets used are cached.  The parameters must be within the
+    pass of the enumeration walk over all Dyck paths of the parameters
+    through _image_text, with no StepWord built.  The tables of the last
+    INVERSE_TABLES_KEPT parameter sets used are cached.  The parameters must be within the
     enumeration limit (check_step_limit), on every call, whether or not
     the table is already cached; LimitExceeded otherwise.  Raises NotInImage
     if the lookup fails, which cannot happen for a Dyck input unless the

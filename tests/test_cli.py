@@ -7,8 +7,8 @@ import sys
 import pytest
 
 import sweeplab.stats
-from sweeplab import enumerate_dyck, make_params
-from sweeplab.cli import _record, main
+from sweeplab import enumerate_dyck, make_params, run_checks
+from sweeplab.cli import _LINES, _record, main
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
 
 JSONL_KEYS = ["word", "m", "n", "d", "area", "dinv", "sweep"]
@@ -74,7 +74,8 @@ class TestGoldenOutputs:
 
 
 class TestJsonlLines:
-    """The JSONL line template against json.dumps of the same record."""
+    """The output lines against the word-level records: json.dumps of each
+    for JSONL, the _LINES template of each for every format."""
 
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_enumerate_lines_equal_json_dumps(self, tmp_path, m, n, d):
@@ -87,6 +88,22 @@ class TestJsonlLines:
         words = all_dyck(m, n, d)
         assert lines == [json.dumps(_record(word)) + "\n" for word in words]
         assert all(list(json.loads(line)) == JSONL_KEYS for line in lines)
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_enumerate_lines_equal_the_word_records(self, tmp_path, m, n, d, fmt):
+        # enumerate reads the walk through the kernels; each word's _record,
+        # from the public wrappers and sweep, is the reference
+        code, out = run_cli(
+            tmp_path, "enumerate", "--m", str(m), "--n", str(n), "--d", str(d),
+            "--format", fmt,
+        )
+        assert code == 0
+        lines = out.decode().splitlines(keepends=True)
+        if fmt == "csv":
+            assert lines.pop(0) == "word,m,n,d,area,dinv,sweep\n"
+        words = all_dyck(m, n, d)
+        assert lines == [_LINES[fmt].format_map(_record(word)) for word in words]
 
     def test_stats_lines_equal_json_dumps(self, tmp_path):
         for (m, n, d) in PARAM_SETS:
@@ -213,6 +230,33 @@ class TestVerifyCommand:
         code, out = run_cli(tmp_path, "verify", "--m", "3", "--n", "2", "--d", "1")
         assert code == 1
         assert b"FAIL area-formula: word=NNEEE" in out
+
+
+class TestBrokenKernels:
+    """A kernel off by one on the words starting NE is caught by verify,
+    which calls the public wrappers, and changes what enumerate, which
+    calls the kernels, writes."""
+
+    @pytest.mark.parametrize(
+        "kernel,checks",
+        [
+            ("_dinv_pairs", {"dinv-formulations", "dinv-sweeps-to-area"}),
+            ("_area_cells", {"area-formula"}),
+        ],
+    )
+    def test_verify_and_enumerate_see_it(self, tmp_path, monkeypatch, kernel, checks):
+        args = ("enumerate", "--m", "5", "--n", "3", "--format", "jsonl")
+        _, healthy = run_cli(tmp_path, *args)
+        true_kernel = getattr(sweeplab.stats, kernel)
+
+        def broken(steps, *rest):
+            return true_kernel(steps, *rest) + (steps[0] == "N" and steps[1] == "E")
+
+        monkeypatch.setattr(sweeplab.stats, kernel, broken)
+        results = run_checks(make_params(5, 3, 1))
+        assert checks <= {r.name for r in results if not r.passed}
+        _, out = run_cli(tmp_path, *args)
+        assert out != healthy
 
 
 class TestTableCommand:

@@ -140,6 +140,17 @@ class TestRanks:
         walked = [(tuple(steps), tuple(ranks)) for steps, ranks in _walk(params)]
         assert walked == [(w.steps, start_ranks(w)) for w in enumerate_dyck(params)]
 
+    @pytest.mark.parametrize("m,n,d", PARAM_SETS)
+    def test_walk_yields_only_dyck_paths_with_their_own_ranks(self, m, n, d):
+        # enumerate, table and the unsweep table read the walk with no
+        # per-path check, so the walk must guarantee what such a check tests
+        params = make_params(m, n, d)
+        for steps, ranks in _walk(params):
+            assert set(steps) <= {"N", "E"}
+            assert steps.count("N") == d * n and steps.count("E") == d * m
+            assert min(ranks) >= 0
+            assert tuple(ranks) == start_ranks(StepWord(tuple(steps), params))
+
 
 class TestIsDyck:
     def test_examples(self, p321):

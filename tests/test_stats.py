@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from sweeplab import (
@@ -11,6 +13,7 @@ from sweeplab import (
     dinv_cell_list,
     dinv_cells,
     dinv_pairs,
+    enumerate_dyck,
     joint_distribution,
     make_params,
     max_stat,
@@ -202,6 +205,15 @@ class TestJointDistribution:
             table = joint_distribution(make_params(m, n, d))
             assert table.marginals_agree()
             assert table.total() == len(all_dyck(m, n, d))
+
+    @pytest.mark.parametrize("m,n,d", PARAM_SETS)
+    def test_counts_equal_the_word_level_tally(self, m, n, d):
+        # the table reads the walk through the kernels; the wrappers on
+        # each enumerated word are the reference
+        tally = collections.Counter(
+            (area_cells(w), dinv_pairs(w)) for w in enumerate_dyck(make_params(m, n, d))
+        )
+        assert dict(joint_distribution(make_params(m, n, d)).counts) == tally
 
     def test_csv_shape(self, p321):
         assert joint_distribution(p321).to_csv() == (
