@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
 commands that enumerate, overrides the default enumeration cap.  It must be
 a positive integer, and so must --jobs; anything else exits 4, as does an
---out FILE that cannot be opened.
+--out FILE that cannot be opened.  enumerate, verify and table check their
+input, then open --out, then run their pass over the enumeration: a refused
+input leaves no file, and an unopenable --out costs no pass.
 """
 
 from __future__ import annotations
@@ -189,29 +191,33 @@ def _cmd_enumerate(args, params) -> int:
 
 
 def _cmd_verify(args, params) -> int:
-    results = verify.run_checks(params, args.limit, jobs=args.jobs)
-    n_paths = next(r.checked for r in results if r.name == "dinv-sweeps-to-area")
-    lines = []
-    failed = [r for r in results if not r.passed]
-    for result in failed:
-        first = result.failures[0]
-        more = len(result.failures) - 1
-        suffix = f" (and {more} more)" if more else ""
-        lines.append(f"FAIL {result.name}: {first}{suffix}")
-    verdict = "PASS" if not failed else f"FAIL ({len(failed)} of {len(results)} checks)"
-    lines.append(f"{len(results)} checks x {n_paths} paths: {verdict}")
-    _emit("\n".join(lines) + "\n", args.out)
+    verify.check_jobs(args.jobs)  # run_checks' own input checks,
+    paths.check_step_limit(params, args.limit)  # before the output is opened
+    with _output(args.out) as fh:
+        results = verify.run_checks(params, args.limit, jobs=args.jobs)
+        n_paths = next(r.checked for r in results if r.name == "dinv-sweeps-to-area")
+        lines = []
+        failed = [r for r in results if not r.passed]
+        for result in failed:
+            first = result.failures[0]
+            more = len(result.failures) - 1
+            suffix = f" (and {more} more)" if more else ""
+            lines.append(f"FAIL {result.name}: {first}{suffix}")
+        verdict = "PASS" if not failed else f"FAIL ({len(failed)} of {len(results)} checks)"
+        lines.append(f"{len(results)} checks x {n_paths} paths: {verdict}")
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if not failed else EXIT_COUNTEREXAMPLE
 
 
 def _cmd_table(args, params) -> int:
-    table = stats.joint_distribution(params, args.limit)
-    verdict = "EQUAL" if table.marginals_agree() else "DIFFERENT"
-    if args.format == "csv":
-        text = table.to_csv() + f"# marginals: {verdict}\n"
-    else:
-        text = table.to_matrix_text() + f"marginals: {verdict}\n"
-    _emit(text, args.out)
+    paths.check_step_limit(params, args.limit)  # before the output is opened
+    with _output(args.out) as fh:
+        table = stats.joint_distribution(params, args.limit)
+        verdict = "EQUAL" if table.marginals_agree() else "DIFFERENT"
+        if args.format == "csv":
+            fh.write(table.to_csv() + f"# marginals: {verdict}\n")
+        else:
+            fh.write(table.to_matrix_text() + f"marginals: {verdict}\n")
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ pattern, which is how the main identity reduces to the area-0 base case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvalidMove, NoMoveAvailable
@@ -51,17 +50,18 @@ class RemovalMove(NamedTuple):
     rank k, so the four display levels are k+m, k+m-n, k, k-n.
 
     A named tuple, so building, hashing and comparing a move run in C;
-    apply_move checks that both fields are ints.
+    every move reader checks that both fields are ints.
     """
 
     position: int
     level: int
 
 
-@dataclass(frozen=True)
-class RegionCounts:
+class RegionCounts(NamedTuple):
     """Segment counts of the non-displayed arrows in the four bands, and
-    the two recursion deltas they predict."""
+    the two recursion deltas they predict.  A named tuple, as RemovalMove
+    is: region_counts builds one per move, and a tuple is cheaper to build
+    than a frozen dataclass."""
 
     red_top_left: int
     blue_top_left: int
@@ -104,28 +104,10 @@ def valid_moves(word: StepWord) -> list[RemovalMove]:
     return moves
 
 
-_last_move: tuple = (None, None, None)  # (word, move, swapped word) of the last build
-
-
-def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
-    """The word with the two steps swapped; area drops by exactly one.
-
-    The one validator of a move, raising InvalidMove, also for a position
-    or level that is not an int (a bool is refused too, as Params refuses
-    it); region_counts and rank_difference_check call it.  The last result
-    is kept and answers a call only with the very same word and move
-    objects, which were validated together; an equal word or move, such as
-    RemovalMove(2.0, 3) after RemovalMove(2, 3), is validated afresh.  So
-    in `verify`, which swaps each move first and passes the same objects
-    on, both later calls are memo hits.
-
-    The swapped word inherits its start ranks: they are the word's, except
-    that the North step now at column p+1 starts at k-n.
-    """
-    global _last_move
-    last_word, last_move, last_swapped = _last_move
-    if word is last_word and move is last_move:
-        return last_swapped
+def _check_move(word: StepWord, move: RemovalMove) -> tuple[int, int]:
+    """The (position, level) of a valid move of `word`; raises InvalidMove
+    otherwise, also for a position or level that is not an int (a bool is
+    refused too, as Params refuses it)."""
     p, k = move
     if type(p) is not int or type(k) is not int:
         raise InvalidMove(f"move position and level must be integers, got {move!r}")
@@ -134,16 +116,33 @@ def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
         raise InvalidMove(f"position {p} outside 1..{len(steps) - 1}")
     if steps[p - 1] != NORTH or steps[p] != EAST:
         raise InvalidMove(f"no North-East pair at position {p} of {word.text}")
-    ranks = start_ranks(word)
-    if ranks[p - 1] != k:
+    if start_ranks(word)[p - 1] != k:
         raise InvalidMove(f"move level {k} does not match the rank at position {p}")
-    n = word.params.n
-    if k < n:
+    if k < word.params.n:
         raise InvalidMove(f"swap at position {p} would drop below rank 0 (level {k})")
-    swapped = StepWord(steps[:p - 1] + (EAST, NORTH) + steps[p + 1:], word.params)
-    hand_over_ranks(swapped, ranks[:p] + (k - n,) + ranks[p + 1:])
-    _last_move = (word, move, swapped)  # one assignment: never half updated
-    return swapped
+    return p, k
+
+
+def _swap(word: StepWord, p: int, k: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The letters and start ranks of `word` with the North-East pair at p
+    swapped: the ranks are the word's, except that the North step now at
+    column p+1 starts at k-n.  The move is not checked here."""
+    steps, ranks = list(word.steps), list(start_ranks(word))
+    steps[p - 1], steps[p] = EAST, NORTH
+    ranks[p] = k - word.params.n
+    return tuple(steps), tuple(ranks)
+
+
+def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
+    """The word with the two steps swapped; area drops by exactly one.
+
+    Raises InvalidMove for an invalid move, as region_counts and
+    rank_difference_check do through the same check.  The swapped word is
+    handed its start ranks by _swap, so it never computes them.
+    """
+    p, k = _check_move(word, move)
+    steps, ranks = _swap(word, p, k)
+    return hand_over_ranks(StepWord(steps, word.params), ranks)
 
 
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
@@ -158,12 +157,12 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
     Two slice loops count the bands: one over the columns left of p, one
     over those right of p+1, so no column is tested for its side.  Within
     a side each letter's bands are disjoint rank intervals.  The move is
-    validated by apply_move.  `verify` calls this once per move and reads
-    both predicted deltas from the result.
+    checked as apply_move checks it, and no swapped word is built.
+    `verify` calls this once per move and reads both predicted deltas from
+    the result.
     """
-    apply_move(word, move)
+    p, k = _check_move(word, move)
     m, n = word.params.m, word.params.n
-    p, k = move
     ranks = start_ranks(word)
 
     red_top_left = blue_top_left = blue_bottom_left = 0
@@ -226,23 +225,23 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     sweep_key: the step at column c with start rank r is swept before
     (k, p) iff r < k, or r == k and c > p, and after (k-n, p+1) iff
     r > k-n, or r == k-n and c <= p.  rank(S') is read off the swapped
-    word's own letters and ranks, against its own rank at column p+1, so
-    the check does not lean on the original word for it.  One pass over
-    the two words side by side gives both ranks and the band sum
-    m*A - n*B.  The band is counted among the steps swept before (k, p),
-    which is the North step's own place once apply_move has checked the
-    rank at p; the displayed pair needs no test of its own, since step p
-    is the bound and step p+1 starts at k+m, above it.
+    letters and ranks, the ones apply_move's word gets, but with no word
+    built, against their own rank at column p+1, so the check does not
+    lean on the original word for it.  One pass over the word and its
+    swap side by side gives both ranks and the band sum m*A - n*B.  The
+    band is counted among the steps swept before (k, p), which is the
+    North step's own place once the move check has matched the rank at p;
+    the displayed pair needs no test of its own, since step p is the bound
+    and step p+1 starts at k+m, above it.
     """
-    swapped = apply_move(word, move)  # validates the move
+    p, k = _check_move(word, move)
     m, n = word.params.m, word.params.n
-    p, k = move
     low = k - n
-    swapped_ranks = start_ranks(swapped)
+    swapped_steps, swapped_ranks = _swap(word, p, k)
     after = swapped_ranks[p]
     rank_before = rank_after = band = 0
     for column, (letter, r, swapped_letter, swapped_r) in enumerate(
-        zip(word.steps, start_ranks(word), swapped.steps, swapped_ranks), start=1
+        zip(word.steps, start_ranks(word), swapped_steps, swapped_ranks), start=1
     ):
         if r < k or (r == k and column > p):
             step = m if letter == NORTH else -n

@@ -21,9 +21,9 @@ first as the swapped word of another path's removal move, and keeps them
 until the path is reached; so each word is swept and its statistics
 counted once per run (once per worker with jobs > 1).  A swapped word
 whose image is not Dyck fails the area recursion of that move.  Each move
-is validated and swapped once, the swapped word inheriting all start ranks
-but one from its path, and its band counts are counted once and give both
-predicted deltas.
+is swapped once, the swapped word inheriting all start ranks but one from
+its path, and checked by each move reader that takes it; its band counts
+are counted once and give both predicted deltas.
 
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
@@ -162,6 +162,13 @@ def _word_failures(params, limit, lo, hi):
     return fails, (path_total, step_total, move_total), pairs, zero_area
 
 
+def check_jobs(jobs: int) -> None:
+    """Raise ValueError unless jobs is a positive int; a bool or a float is
+    refused too, as Params refuses them."""
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+
+
 def _worker_count(jobs: int, path_count: int) -> int:
     """jobs clamped to the CPUs this process may use and to the path count;
     1 where the fork start method is unavailable."""
@@ -243,11 +250,10 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     one worker, or without `fork`, the pass runs in this process.  A fork
     copies only the calling thread, so pass jobs > 1 only from a process
     that runs no other threads.  Raises ValueError, before any work, when
-    jobs or an explicit limit is not a positive int; a bool or a float is
-    refused too, as Params refuses them.
+    jobs or an explicit limit is not a positive int (check_jobs and
+    paths.check_step_limit).
     """
-    if type(jobs) is not int or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    check_jobs(jobs)
     paths.check_step_limit(params, limit)  # before any work
     path_count = paths.count_dyck(params)
     workers = _worker_count(jobs, path_count)

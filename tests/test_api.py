@@ -1,4 +1,5 @@
-"""Every name the package exports has a user outside the tests.
+"""Every name the package exports has a user outside the tests, and no
+module keeps per-call state in a global.
 
 The system is the library itself, the CLI, the scripts and the benchmark
 harness.  A name exported from `sweeplab/__init__.py` that none of them
@@ -42,3 +43,16 @@ def used_names() -> set[str]:
 
 def test_every_export_has_a_user_outside_the_tests():
     assert sorted(exported_names() - used_names()) == []
+
+
+def test_no_module_rebinds_a_global():
+    # a `global` statement is per-call state kept at module level, such as
+    # a memo of the last result; every library function takes what it
+    # needs as arguments
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert offenders == []

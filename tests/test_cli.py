@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sweeplab.stats
+import sweeplab.verify
 from sweeplab import enumerate_dyck, make_params, run_checks
 from sweeplab.cli import _LINES, _record, main
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
@@ -383,6 +384,35 @@ class TestUsageErrors:
         assert main(argv) == 4
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("sweeplab: error: cannot open --out ")
+
+    @pytest.mark.parametrize("command", ["verify", "table"])
+    def test_unopenable_out_exits_4_before_the_pass(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("the pass ran before --out was opened")
+
+        monkeypatch.setattr(sweeplab.verify, "run_checks", no_pass)
+        monkeypatch.setattr(sweeplab.stats, "joint_distribution", no_pass)
+        out = str(tmp_path / "missing" / "out.txt")
+        assert main([command, "--m", "13", "--n", "8", "--out", out]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("sweeplab: error: cannot open --out ")
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify", "--jobs", "0"], 4),
+            (["verify", "--limit", "0"], 4),
+            (["verify", "--limit", "4"], 3),
+            (["table", "--limit", "0"], 4),
+            (["table", "--limit", "4"], 3),
+        ],
+    )
+    def test_refused_input_leaves_no_file(self, argv, code, tmp_path):
+        out = tmp_path / "out"
+        assert main([*argv, "--m", "3", "--n", "2", "--out", str(out)]) == code
+        assert not out.exists()
 
 
 class TestConsoleEntryPoint:

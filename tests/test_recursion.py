@@ -187,8 +187,8 @@ class TestApplyMove:
     def test_an_equal_move_after_a_valid_one_is_validated(
         self, params, text, move, equal_move, swapped, fresh_word
     ):
-        # equal_move == move, but is no int move: the kept last result must
-        # not answer it, for the same word or an equal one
+        # equal_move == move, but is no int move: no earlier result may
+        # answer it, for the same word or an equal one
         params = make_params(*params)
         word = parse_word(text, params)
         assert apply_move(word, move).text == swapped
@@ -196,15 +196,6 @@ class TestApplyMove:
             word = parse_word(text, params)
         with pytest.raises(InvalidMove, match="must be integers"):
             apply_move(word, equal_move)
-
-    def test_the_same_word_and_move_reuse_the_swapped_word(self, p321):
-        word = parse_word("NNEEE", p321)
-        move = RemovalMove(2, 3)
-        swapped = apply_move(word, move)
-        assert apply_move(word, move) is swapped
-        # an equal move object is validated and swapped afresh
-        again = apply_move(word, RemovalMove(2, 3))
-        assert again == swapped and again is not swapped
 
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_swapped_word_inherits_its_ranks(self, m, n, d):
@@ -227,7 +218,7 @@ BAD_MOVES = [
 @pytest.mark.parametrize("text,move", BAD_MOVES)
 @pytest.mark.parametrize("caller", [apply_move, region_counts, rank_difference_check])
 def test_every_move_reader_rejects_bad_moves(caller, text, move, p321):
-    # region_counts and rank_difference_check validate through apply_move
+    # each reader runs the one move check that apply_move runs
     with pytest.raises(InvalidMove):
         caller(parse_word(text, p321), move)
 
@@ -238,11 +229,30 @@ def test_every_move_reader_rejects_bad_moves(caller, text, move, p321):
     [region_counts, area_recursion_delta, dinv_recursion_delta, rank_difference_check],
 )
 def test_every_move_reader_takes_a_plain_pair(reader, m, n, d):
-    # apply_move validates a plain (position, level) tuple, so each reader
-    # unpacks it the same way and agrees with the RemovalMove form
+    # the one move check takes a plain (position, level) tuple, so each
+    # reader unpacks it the same way and agrees with the RemovalMove form
     for word in all_dyck(m, n, d):
         for move in valid_moves(word):
             assert reader(word, tuple(move)) == reader(word, move), (word.text, move)
+
+
+def test_move_readers_build_no_word(monkeypatch):
+    # only apply_move builds a swapped word: region_counts and
+    # rank_difference_check read the word's lists and the swap's
+    cases = [
+        (word, move, region_counts_by_one_loop(word, move),
+         rank_difference_by_passes(word, move))
+        for (m, n, d) in WIDE_SETS for word in all_dyck(m, n, d)
+        for move in valid_moves(word)
+    ]
+
+    def no_word(steps, params):
+        raise AssertionError("a move reader built a word")
+
+    monkeypatch.setattr(sweeplab.recursion, "StepWord", no_word)
+    for word, move, counts, holds in cases:
+        assert region_counts(word, move) == counts, (word.text, move)
+        assert rank_difference_check(word, move) == holds, (word.text, move)
 
 
 class TestRegionCounts:
@@ -344,7 +354,9 @@ class TestRankDifference:
         # the same with the swap left out, so that rank(S') is read off the
         # unswapped word: the identity then fails on most moves, and the
         # two forms must still agree move by move
-        monkeypatch.setattr(sweeplab.recursion, "apply_move", lambda word, move: word)
+        monkeypatch.setattr(
+            sweeplab.recursion, "_swap", lambda word, p, k: (word.steps, start_ranks(word))
+        )
         outcomes = [rank_difference_check(word, move) for word, move in moves]
         assert outcomes == [rank_difference_by_passes(word, move) for word, move in moves]
         assert set(outcomes) == {True, False}

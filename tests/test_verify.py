@@ -1,6 +1,5 @@
 import collections
 import concurrent.futures
-import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -194,10 +193,10 @@ def test_ranks_are_computed_only_for_new_words(monkeypatch):
     assert len(computed) == 68
 
 
-def test_each_move_is_validated_once(monkeypatch):
-    # apply_move is the one validator, and it builds a swapped word only
-    # after validating; region_counts and rank_difference_check call it
-    # with the objects verify swapped, so both calls are memo hits
+def test_each_move_is_swapped_once(monkeypatch):
+    # verify swaps each move through apply_move, which builds the one
+    # swapped word; region_counts and rank_difference_check run the same
+    # move check but build no word
     calls = collections.Counter()
     true_apply_move = sweeplab.recursion.apply_move
     true_step_word = sweeplab.recursion.StepWord
@@ -210,12 +209,12 @@ def test_each_move_is_validated_once(monkeypatch):
         calls["built"] += 1
         return true_step_word(steps, params)
 
-    # verify, region_counts and rank_difference_check all resolve
-    # apply_move through the module
+    # verify resolves apply_move through the module
     monkeypatch.setattr(sweeplab.recursion, "apply_move", counted_apply_move)
     monkeypatch.setattr(sweeplab.recursion, "StepWord", counted_step_word)
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
-    assert (calls["apply_move"], calls["built"]) == (432, 144)
+    # 144 valid moves over the 66 paths of (7,5,1)
+    assert (calls["apply_move"], calls["built"]) == (144, 144)
 
 
 def _reversed_after_nne(params):
@@ -298,7 +297,7 @@ def test_broken_region_counts_are_caught(monkeypatch):
 
     def shifted(word, move):
         counts = true_counts(word, move)
-        return dataclasses.replace(counts, red_top_left=counts.red_top_left + 1)
+        return counts._replace(red_top_left=counts.red_top_left + 1)
 
     # verify reads both predicted deltas from the one region_counts call
     # per move, resolved through the module, so it sees the patch
