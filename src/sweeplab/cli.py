@@ -13,9 +13,10 @@ Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
 commands that enumerate, overrides the default enumeration cap.  It must be
 a positive integer, and so must --jobs; anything else exits 4, as does an
---out FILE that cannot be opened.  enumerate, verify and table check their
-input, then open --out, then run their pass over the enumeration: a refused
-input leaves no file, and an unopenable --out costs no pass.
+--out FILE that cannot be opened.  enumerate, verify, table and unsweep
+check their input, then open --out, then run their pass over the
+enumeration (for unsweep, the build of its inverse table): a refused input
+leaves no file, and an unopenable --out costs no pass.
 """
 
 from __future__ import annotations
@@ -242,7 +243,10 @@ def _cmd_sweep(args, params) -> int:
 
 def _cmd_unsweep(args, params) -> int:
     word = paths.parse_word(args.word, params)
-    _emit(sweeping.unsweep(word, args.limit).text + "\n", args.out)
+    paths.require_dyck(word)  # unsweep's own input checks,
+    paths.check_step_limit(params, args.limit)  # before the output is opened
+    with _output(args.out) as fh:
+        fh.write(sweeping.unsweep(word, args.limit).text + "\n")
     return EXIT_OK
 
 

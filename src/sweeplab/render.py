@@ -42,6 +42,23 @@ def _svg(width: float, height: float, body: list[str]) -> str:
     return "\n".join(head + body + ["</svg>"]) + "\n"
 
 
+def _line(x1, y1, x2, y2, stroke: str, width: float, extra: str = "") -> str:
+    """One `<line>`; `extra` is appended after the stroke width."""
+    return (
+        f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+        f'stroke="{stroke}" stroke-width="{_f(width)}"{extra}/>'
+    )
+
+
+def _text(x, y, size: int, fill: str, content, anchor: str | None = None) -> str:
+    """One sans-serif `<text>`, with a `text-anchor` only when given."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor is not None else ""
+    return (
+        f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
+        f'font-size="{size}"{anchor_attr} fill="{fill}">{content}</text>'
+    )
+
+
 def render_grid(word: StepWord) -> str:
     """The path in the traditional lattice picture."""
     require_dyck(word)
@@ -63,26 +80,12 @@ def render_grid(word: StepWord) -> str:
             f'<rect x="{_f(px(x))}" y="{_f(py(y + 1))}" width="{_f(CELL)}" '
             f'height="{_f(CELL)}" fill="#ccebc5" stroke="{GREEN}" stroke-width="1.50"/>'
         )
-        body.append(
-            f'<text x="{_f(px(x) + CELL / 2)}" y="{_f(py(y) - CELL / 2 + 6)}" '
-            f'font-family="sans-serif" font-size="20" text-anchor="middle" '
-            f'fill="{GREEN}">*</text>'
-        )
+        body.append(_text(px(x) + CELL / 2, py(y) - CELL / 2 + 6, 20, GREEN, "*", "middle"))
     for x in range(dm + 1):
-        body.append(
-            f'<line x1="{_f(px(x))}" y1="{_f(py(0))}" x2="{_f(px(x))}" '
-            f'y2="{_f(py(dn))}" stroke="{GRID_GRAY}" stroke-width="1.00"/>'
-        )
+        body.append(_line(px(x), py(0), px(x), py(dn), GRID_GRAY, 1))
     for y in range(dn + 1):
-        body.append(
-            f'<line x1="{_f(px(0))}" y1="{_f(py(y))}" x2="{_f(px(dm))}" '
-            f'y2="{_f(py(y))}" stroke="{GRID_GRAY}" stroke-width="1.00"/>'
-        )
-    body.append(
-        f'<line x1="{_f(px(0))}" y1="{_f(py(0))}" x2="{_f(px(dm))}" '
-        f'y2="{_f(py(dn))}" stroke="{DIAG_GRAY}" stroke-width="1.50" '
-        f'stroke-dasharray="6 4"/>'
-    )
+        body.append(_line(px(0), py(y), px(dm), py(y), GRID_GRAY, 1))
+    body.append(_line(px(0), py(0), px(dm), py(dn), DIAG_GRAY, 1.5, ' stroke-dasharray="6 4"'))
     x = y = 0
     points = [f"{_f(px(0))},{_f(py(0))}"]
     for ch in word.steps:
@@ -118,20 +121,10 @@ def render_diagram(word: StepWord, highlight: int | None = None) -> str:
 
     body = []
     for level in range(levels + 1):
-        body.append(
-            f'<line x1="{_f(px(0))}" y1="{_f(py(level))}" x2="{_f(px(cols))}" '
-            f'y2="{_f(py(level))}" stroke="{GRID_GRAY}" stroke-width="1.00"/>'
-        )
-        body.append(
-            f'<text x="{_f(px(0) - 8)}" y="{_f(py(level) + 4)}" '
-            f'font-family="sans-serif" font-size="11" text-anchor="end" '
-            f'fill="black">{level}</text>'
-        )
+        body.append(_line(px(0), py(level), px(cols), py(level), GRID_GRAY, 1))
+        body.append(_text(px(0) - 8, py(level) + 4, 11, "black", level, "end"))
     for x in range(cols + 1):
-        body.append(
-            f'<line x1="{_f(px(x))}" y1="{_f(py(0))}" x2="{_f(px(x))}" '
-            f'y2="{_f(py(levels))}" stroke="{GRID_GRAY}" stroke-width="1.00"/>'
-        )
+        body.append(_line(px(x), py(0), px(x), py(levels), GRID_GRAY, 1))
 
     ranks = start_ranks(word)
     if highlight is not None:
@@ -139,14 +132,8 @@ def render_diagram(word: StepWord, highlight: int | None = None) -> str:
         rise = 0.5 / cols  # levels per column: small, so no line is crossed
         y_left = level - rise * x0
         y_right = level + rise * (cols - x0)
-        body.append(
-            f'<line x1="{_f(px(0))}" y1="{_f(py(y_left))}" x2="{_f(px(cols))}" '
-            f'y2="{_f(py(y_right))}" stroke="{GREEN}" stroke-width="3.00"/>'
-        )
-        body.append(
-            f'<text x="{_f(px(cols) + 4)}" y="{_f(py(y_right) + 4)}" '
-            f'font-family="sans-serif" font-size="14" fill="{GREEN}">*</text>'
-        )
+        body.append(_line(px(0), py(y_left), px(cols), py(y_right), GREEN, 3))
+        body.append(_text(px(cols) + 4, py(y_right) + 4, 14, GREEN, "*"))
 
     for column, (letter, rank) in enumerate(zip(word.steps, ranks), start=1):
         up = letter == NORTH
@@ -154,10 +141,7 @@ def render_diagram(word: StepWord, highlight: int | None = None) -> str:
         end = rank + (params.m if up else -params.n)
         x1, y1 = px(column - 1), py(rank)
         x2, y2 = px(column), py(end)
-        body.append(
-            f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-            f'stroke="{color}" stroke-width="2.50"/>'
-        )
+        body.append(_line(x1, y1, x2, y2, color, 2.5))
         # arrowhead: short barbs at the end point
         sign = -1 if up else 1
         body.append(
@@ -169,18 +153,8 @@ def render_diagram(word: StepWord, highlight: int | None = None) -> str:
             f'<circle cx="{_f(x1)}" cy="{_f(y1)}" r="8.50" fill="white" '
             f'stroke="{color}" stroke-width="1.50"/>'
         )
-        body.append(
-            f'<text x="{_f(x1)}" y="{_f(y1 + 4)}" font-family="sans-serif" '
-            f'font-size="10" text-anchor="middle" fill="black">{rank}</text>'
-        )
+        body.append(_text(x1, y1 + 4, 10, "black", rank, "middle"))
         marker = "+" if up else "-"
-        body.append(
-            f'<text x="{_f((x1 + x2) / 2 + 6)}" y="{_f((y1 + y2) / 2)}" '
-            f'font-family="sans-serif" font-size="13" fill="{color}">{marker}</text>'
-        )
-        body.append(
-            f'<text x="{_f((x1 + x2) / 2)}" y="{_f(py(0) + 24)}" '
-            f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-            f'fill="black">{letter}</text>'
-        )
+        body.append(_text((x1 + x2) / 2 + 6, (y1 + y2) / 2, 13, color, marker))
+        body.append(_text((x1 + x2) / 2, py(0) + 24, 13, "black", letter, "middle"))
     return _svg(width, height, body)

@@ -184,20 +184,15 @@ class StatTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def area_marginal(self) -> dict[int, int]:
+    def _marginal(self, axis: int) -> dict[int, int]:
+        """Counts summed over the other statistic: axis 0 is area, 1 dinv."""
         out: dict[int, int] = {}
-        for (area, _), c in self.counts.items():
-            out[area] = out.get(area, 0) + c
-        return out
-
-    def dinv_marginal(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (_, dinv), c in self.counts.items():
-            out[dinv] = out.get(dinv, 0) + c
+        for key, c in self.counts.items():
+            out[key[axis]] = out.get(key[axis], 0) + c
         return out
 
     def marginals_agree(self) -> bool:
-        return self.area_marginal() == self.dinv_marginal()
+        return self._marginal(0) == self._marginal(1)
 
     def to_csv(self) -> str:
         """CSV with columns area, dinv, count; rows sorted by (area, dinv).

@@ -7,14 +7,16 @@ slope, so within one level the line meets the rightmost start first.  The
 key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
-`sweep_key` is the one definition of that order.  `_sweep_columns`
-realizes it with one stable sort of the columns, listed right to left, by
-start rank: equal ranks keep their input order, which is rightmost first,
-so no key tuple is built.  `sweep_order` applies it to the start ranks
-that `paths` caches on a word.  Code that only asks whether one step is
-swept before another compares plain ranks and columns: the step at
-column c with start rank r comes before the one at column c' with rank
-r' iff r < r', or r == r' and c > c'.
+`sweep_key` states that order as a sort key; its only library caller is
+`recursion._pick_move`.  `sweep` (through `sweep_order`), `unsweep` and
+`enumerate` read `_sweep_columns` instead, which realizes the order with
+one stable sort of the columns, listed right to left, by start rank:
+equal ranks keep their input order, which is rightmost first, so no key
+tuple is built.  `sweep_order` applies it to the start ranks that `paths`
+caches on a word.  Code that only asks whether one step is swept before
+another compares plain ranks and columns: the step at column c with start
+rank r comes before the one at column c' with rank r' iff r < r', or
+r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of

@@ -21,9 +21,10 @@ first as the swapped word of another path's removal move, and keeps them
 until the path is reached; so each word is swept and its statistics
 counted once per run (once per worker with jobs > 1).  A swapped word
 whose image is not Dyck fails the area recursion of that move.  Each move
-is swapped once, the swapped word inheriting all start ranks but one from
-its path, and checked by each move reader that takes it; its band counts
-are counted once and give both predicted deltas.
+builds one swapped word, in apply_move, which inherits all start ranks but
+one from its path; rank_difference_check swaps the move's letters and
+ranks again but builds no word.  Each move reader checks the move, and its
+band counts are counted once and give both predicted deltas.
 
 With jobs > 1 the pass runs in forked worker processes, each on its own
 contiguous range of the enumeration.  The `fork` start method is
@@ -60,12 +61,12 @@ def _word_failures(params, limit, lo, hi):
     when hi is None; the paths are enumerated here, so that no word
     crosses a process boundary.
 
-    Returns ({check name: [message, ...]}, (paths, steps, valid moves)
-    checked, [(word text, image text), ...] in enumeration order, [text of
+    Returns ({check name: [message, ...]}, valid moves checked, [(word
+    text, image text), ...] of every path in enumeration order, [text of
     each area-0 path]).
     """
     fails: dict[str, list[str]] = {name: [] for name in CHECK_NAMES}
-    path_total = move_total = step_total = 0
+    move_total = 0
     pairs: list[tuple[str, str]] = []
     zero_area: list[str] = []
     # word text -> (image, dinv, image area or None) of every word met so
@@ -91,9 +92,7 @@ def _word_failures(params, limit, lo, hi):
         # counted and recorded before the image check, which skips the rest
         # of the word
         moves = recursion.valid_moves(word)
-        path_total += 1
         move_total += len(moves)
-        step_total += len(word)
         image, dinv, image_area = word_stats(word)
         del direct[word.text]
         pairs.append((word.text, image.text))
@@ -159,7 +158,7 @@ def _word_failures(params, limit, lo, hi):
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
                 note("cross-identities", f"word={word.text} p={move.position}")
-    return fails, (path_total, step_total, move_total), pairs, zero_area
+    return fails, move_total, pairs, zero_area
 
 
 def check_jobs(jobs: int) -> None:
@@ -276,7 +275,7 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
         partials = [_word_failures(params, limit, 0, None)]
 
     # ranges are contiguous, so concatenation keeps enumeration order
-    part_fails, part_totals, part_pairs, part_zero_area = zip(*partials)
+    part_fails, part_moves, part_pairs, part_zero_area = zip(*partials)
     fails = {
         name: [message for part in part_fails for message in part[name]]
         for name in CHECK_NAMES
@@ -285,10 +284,11 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     fails["base-case"] = _base_case_failures(
         params, list(itertools.chain.from_iterable(part_zero_area))
     )
-    path_total, step_total, move_total = map(sum, zip(*part_totals))
+    path_total = sum(map(len, part_pairs))  # one pair per path
+    move_total = sum(part_moves)
     checked = dict.fromkeys(CHECK_NAMES, path_total)
     for name in ("rank-difference", "area-recursion", "dinv-recursion", "cross-identities"):
         checked[name] = move_total
-    checked["green-line-rank"] = step_total
+    checked["green-line-rank"] = path_total * params.step_count
     checked["base-case"] = 1
     return [CheckResult(name, checked[name], tuple(fails[name])) for name in CHECK_NAMES]

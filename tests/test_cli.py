@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sweeplab.stats
+import sweeplab.sweeping
 import sweeplab.verify
 from sweeplab import enumerate_dyck, make_params, run_checks
 from sweeplab.cli import _LINES, _record, main
@@ -385,7 +386,7 @@ class TestUsageErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("sweeplab: error: cannot open --out ")
 
-    @pytest.mark.parametrize("command", ["verify", "table"])
+    @pytest.mark.parametrize("command", ["verify", "table", "unsweep"])
     def test_unopenable_out_exits_4_before_the_pass(
         self, command, tmp_path, monkeypatch, capsys
     ):
@@ -394,8 +395,10 @@ class TestUsageErrors:
 
         monkeypatch.setattr(sweeplab.verify, "run_checks", no_pass)
         monkeypatch.setattr(sweeplab.stats, "joint_distribution", no_pass)
+        monkeypatch.setattr(sweeplab.sweeping, "_inverse_table", no_pass)
+        word = ["N" * 8 + "E" * 13] if command == "unsweep" else []
         out = str(tmp_path / "missing" / "out.txt")
-        assert main([command, "--m", "13", "--n", "8", "--out", out]) == 4
+        assert main([command, *word, "--m", "13", "--n", "8", "--out", out]) == 4
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("sweeplab: error: cannot open --out ")
 
@@ -407,6 +410,9 @@ class TestUsageErrors:
             (["verify", "--limit", "4"], 3),
             (["table", "--limit", "0"], 4),
             (["table", "--limit", "4"], 3),
+            (["unsweep", "ENNEE"], 2),
+            (["unsweep", "NNEEE", "--limit", "0"], 4),
+            (["unsweep", "NNEEE", "--limit", "4"], 3),
         ],
     )
     def test_refused_input_leaves_no_file(self, argv, code, tmp_path):

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under scripts/, each run in a child
 interpreter the way a user runs it."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -34,4 +35,13 @@ def test_region_survey():
 
 def test_render_gallery(tmp_path):
     run_script("render_gallery.py", tmp_path)
-    assert len(list(tmp_path.glob("*.svg"))) == 31
+    figures = sorted(tmp_path.glob("*.svg"))
+    assert len(figures) == 31
+    # every figure byte for byte, read in sorted-name order: d = 2, the base
+    # and corner paths and the sweep line at every step are in no golden file
+    digest = hashlib.sha256()
+    for figure in figures:
+        digest.update(figure.read_bytes())
+    assert digest.hexdigest() == (
+        "3d9e7254e053ef8ecafe0a848ac9dd40f9b628a2f7810930e077f286ad7f3be4"
+    )

@@ -161,22 +161,6 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
     assert calls["dinv_pairs"] == 67
 
 
-def test_each_move_builds_one_swapped_word(monkeypatch):
-    built = collections.Counter()
-    true_step_word = sweeplab.recursion.StepWord
-
-    def counted(steps, params):
-        built["words"] += 1
-        return true_step_word(steps, params)
-
-    # apply_move is the only StepWord constructor in recursion
-    monkeypatch.setattr(sweeplab.recursion, "StepWord", counted)
-    results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
-    assert all(r.passed for r in results.values())
-    # rank_difference_check reads the word that the direct deltas swapped
-    assert built["words"] == results["rank-difference"].checked == 144
-
-
 def test_ranks_are_computed_only_for_new_words(monkeypatch):
     computed = []
     ranks_slot = sweeplab.paths.StepWord.__dict__["_ranks"]
@@ -193,10 +177,25 @@ def test_ranks_are_computed_only_for_new_words(monkeypatch):
     assert len(computed) == 68
 
 
+def test_each_move_builds_one_swapped_word(monkeypatch):
+    built = collections.Counter()
+    true_step_word = sweeplab.recursion.StepWord
+
+    def counted(steps, params):
+        built["words"] += 1
+        return true_step_word(steps, params)
+
+    # apply_move is the only StepWord constructor in recursion
+    monkeypatch.setattr(sweeplab.recursion, "StepWord", counted)
+    results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
+    assert all(r.passed for r in results.values())
+    # one swapped word per move that rank_difference_check checks
+    assert built["words"] == results["rank-difference"].checked == 144
+
+
 def test_each_move_is_swapped_once(monkeypatch):
-    # verify swaps each move through apply_move, which builds the one
-    # swapped word; region_counts and rank_difference_check run the same
-    # move check but build no word
+    # verify swaps each move through apply_move, once; region_counts and
+    # rank_difference_check run the same move check but build no word
     calls = collections.Counter()
     true_apply_move = sweeplab.recursion.apply_move
     true_step_word = sweeplab.recursion.StepWord
