@@ -13,16 +13,19 @@ Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
 commands that enumerate, overrides the default enumeration cap.  It must be
 a positive integer, and so must --jobs; anything else exits 4, as does an
---out FILE that cannot be opened.  enumerate, verify, table and unsweep
-check their input, then open --out, then run their pass over the
-enumeration (for unsweep, the build of its inverse table): a refused input
-leaves no file, and an unopenable --out costs no pass.
+--out FILE that cannot be opened, or a stdout whose reader closed the pipe
+before the output was written (`sweeplab enumerate ... | head -1`).
+enumerate, verify, table and unsweep check their input, then open --out,
+then run their pass over the enumeration (for unsweep, the build of its
+inverse table): a refused input leaves no file, and an unopenable --out
+costs no pass.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import paths, render, stats, verify
@@ -174,19 +177,17 @@ def _cmd_enumerate(args, params) -> int:
     line = _LINES[args.format]
     for key in ("m", "n", "d"):  # fixed once, for every line
         line = line.replace("{%s}" % key, str(getattr(params, key)))
-    # The walk yields only Dyck paths with the right letter counts, so the
-    # kernels read its lists with no word built and no Dyck check per path.
-    area, dinv, image = stats._area_cells, stats._dinv_pairs, sweeping._image_text
+    # The walk yields only Dyck paths with the right letter counts, so no
+    # word is built and no path checked: area and dinv come as the running
+    # sums of stats._walk_counts, and the image from the walk's two lists.
+    image = sweeping._image_text
     with _output(args.out) as fh:
         write = fh.write
         if args.format == "csv":
             write("word,m,n,d,area,dinv,sweep\n")
-        for steps, ranks in paths._walk(params):
+        for steps, ranks, area, dinv in stats._walk_counts(params):
             write(line.format(
-                word="".join(steps),
-                area=area(steps, params),
-                dinv=dinv(steps, ranks, params),
-                sweep=image(steps, ranks),
+                word="".join(steps), area=area, dinv=dinv, sweep=image(steps, ranks)
             ))
     return EXIT_OK
 
@@ -270,7 +271,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         params = paths.make_params(args.m, args.n, args.d)
-        return _COMMANDS[args.command](args, params)
+        code = _COMMANDS[args.command](args, params)
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+        return code
+    except BrokenPipeError as exc:
+        print(f"sweeplab: error: cannot write the output: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (NonPositive, NonCoprime, BadLetter, BadCounts, NotDyck) as exc:
         print(f"sweeplab: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -283,7 +289,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main reported the closed pipe; what is left in the buffer goes to
+        # os.devnull, so the interpreter's final flush raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,13 +16,16 @@ hold them and hand them over through `hand_over_ranks`: the enumeration
 and `recursion.apply_move`, whose swapped word differs from its parent in
 one start rank.  The enumeration walk (`_walk`) keeps each step's letter
 and start rank in two lists that it changes in place and yields after
-every path; `enumerate_dyck` copies them into a word with its ranks.
-The consumers that need no word read the lists directly: the unsweep
-table in `sweeping`, `sweeplab enumerate` and `stats.joint_distribution`
-(`sweeplab table`).  They check no path, since the walk's pruning yields
-only Dyck paths with dn North and dm East letters.  Any other word (a
-sweep image, a parsed word) computes its ranks on first use, as a running
-sum (`itertools.accumulate`) of the step each letter contributes.
+every path, with the first index it rewrote since its previous yield;
+`enumerate_dyck` copies the lists into a word with its ranks.  The
+consumers that need no word read the lists directly: the unsweep table in
+`sweeping`, and `stats._walk_counts`, whose running sums of area and dinv
+feed `sweeplab enumerate` and `stats.joint_distribution` (`sweeplab
+table`) and recount each path only from that index on.  They check no
+path, since the walk's pruning yields only Dyck paths with dn North and dm
+East letters.  Any other word (a sweep image, a parsed word) computes its
+ranks on first use, as a running sum (`itertools.accumulate`) of the step
+each letter contributes.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     check_step_limit(params, limit)
     return (
         hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
-        for steps, ranks in _walk(params)
+        for steps, ranks, _ in _walk(params)
     )
 
 
@@ -241,12 +244,16 @@ def _walk(params: Params):
 
     Yields the same two lists after every path, the letters and the start
     rank of each step, and changes them in place afterwards; a consumer
-    copies what it keeps.  No limit is checked here."""
+    copies what it keeps.  With them comes `lo`, the first index rewritten
+    since the previous yield (0 for the first path): the letters before it
+    are the previous path's, and there the previous path had a North step,
+    now turned East.  No limit is checked here."""
     m, n = params.m, params.n
     length = params.step_count
     steps = [NORTH] * length
     ranks = [0] * length  # ranks[i] is the start rank of steps[i]
-    pos, rank, norths = 0, 0, params.north_count
+    lo = pos = rank = 0
+    norths = params.north_count
     while True:
         for i in range(pos, length):
             ranks[i] = rank
@@ -257,7 +264,7 @@ def _walk(params: Params):
             else:
                 steps[i] = EAST
                 rank -= n
-        yield steps, ranks
+        yield steps, ranks, lo
         pos = length - 1
         while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
             norths += steps[pos] == NORTH
@@ -267,6 +274,7 @@ def _walk(params: Params):
         steps[pos] = EAST
         rank = ranks[pos] - n
         norths += 1
+        lo = pos
         pos += 1
 
 

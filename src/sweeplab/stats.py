@@ -17,14 +17,22 @@ step by bisecting the sorted start ranks of the East steps before it, in
 O(L log L) comparisons; dinv_cell_list tests the same inequality cell by
 cell over the cells above the path, in O(L^2).
 
-Each formulation has one body.  area_cells and dinv_pairs are public
-wrappers: each refuses a non-Dyck word (require_dyck), then calls its
-private kernel, _area_cells over the letters or _dinv_pairs over the
-letters and start ranks, which checks nothing.  A caller that reads the
-enumeration walk (`paths._walk`), which yields only Dyck paths, calls the
-kernels on the walk's lists with no word built: joint_distribution here
-and `sweeplab enumerate`.  verify calls the wrappers, so a broken kernel
-shows there as well.
+Each formulation has one body for a single word.  area_cells and
+dinv_pairs are public wrappers: each refuses a non-Dyck word
+(require_dyck), then calls its private kernel, _area_cells over the
+letters or _dinv_pairs over the letters and start ranks, which checks
+nothing.  verify calls the wrappers, so a broken kernel shows there.
+
+The consumers of the whole enumeration walk (`paths._walk`), which yields
+only Dyck paths, read _walk_counts instead: joint_distribution here and
+`sweeplab enumerate`.  It keeps both counts as running sums by position
+across the walk, with the kernels' per-step terms, and recounts each path
+only from the first step the walk rewrote up to its last North step; the
+East steps after that add to neither count.  The kernels stay separate on
+purpose: made resumable so that the walk could share them, they would
+double the cost of a single word, which verify pays per path, and save the
+walk no measurable time.  The tests take the kernels as the reference for
+_walk_counts.
 """
 
 from __future__ import annotations
@@ -218,13 +226,53 @@ class StatTable:
 def joint_distribution(params: Params, limit: int | None = None) -> StatTable:
     """Tabulate (area_cells, dinv_pairs) over every Dyck path.
 
-    The two kernels read the enumeration walk's lists directly, with no
-    word built per path: the walk yields only Dyck paths with the right
-    letter counts, so the wrappers' Dyck check has nothing to refuse.
+    Both counts come from _walk_counts, with no word built per path: the
+    walk yields only Dyck paths with the right letter counts, so the
+    wrappers' Dyck check has nothing to refuse.
     """
     check_step_limit(params, limit)
     counts: dict[tuple[int, int], int] = {}
-    for steps, ranks in _walk(params):
-        key = (_area_cells(steps, params), _dinv_pairs(steps, ranks, params))
+    for _, _, area, dinv in _walk_counts(params):
+        key = (area, dinv)
         counts[key] = counts.get(key, 0) + 1
     return StatTable(params, counts)
+
+
+def _walk_counts(params: Params):
+    """Yield (steps, ranks, area, dinv) for every path of `paths._walk`,
+    whose two lists are yielded as they are; no limit is checked here.
+
+    area and dinv are _area_cells and _dinv_pairs of the path, kept as
+    running sums by position: area_at[i] and dinv_at[i] count the steps
+    before position i, and `easts` holds the start ranks of the East steps
+    inserted into the sorted `seen`, in position order.  The walk rewrites
+    only the steps from its `lo` on, so a path drops the East ranks at
+    positions >= lo and counts from lo until its last North step.
+    """
+    m, n = params.m, params.n
+    width = m + n
+    norths = params.north_count
+    area_at = [0] * (params.step_count + 1)
+    dinv_at = [0] * (params.step_count + 1)
+    seen: list[int] = []
+    easts: list[int] = []
+    for steps, ranks, lo in _walk(params):
+        y = (ranks[lo] + n * lo) // width  # North steps before lo: r = m*y - n*x
+        for rank in easts[lo - y:]:
+            del seen[bisect_left(seen, rank)]
+        del easts[lo - y:]
+        area, dinv = area_at[lo], dinv_at[lo]
+        i = lo
+        while y < norths:
+            rank = ranks[i]
+            if steps[i] == NORTH:
+                area += rank // n  # _area_cells' m*y//n - x, as r = m*y - n*x
+                dinv += bisect_left(seen, rank + width) - bisect_left(seen, rank)
+                y += 1
+            else:
+                insort(seen, rank)
+                easts.append(rank)
+            i += 1
+            area_at[i] = area
+            dinv_at[i] = dinv
+        yield steps, ranks, area, dinv

@@ -200,7 +200,7 @@ INVERSE_TABLES_KEPT = 4
 @functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
 def _inverse_table(params: Params) -> dict[str, str]:
     # Text values: a StepWord value would keep its cached ranks alive.
-    return {_image_text(steps, ranks): "".join(steps) for steps, ranks in _walk(params)}
+    return {_image_text(steps, ranks): "".join(steps) for steps, ranks, _ in _walk(params)}
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:

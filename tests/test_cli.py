@@ -235,9 +235,9 @@ class TestVerifyCommand:
 
 
 class TestBrokenKernels:
-    """A kernel off by one on the words starting NE is caught by verify,
-    which calls the public wrappers, and changes what enumerate, which
-    calls the kernels, writes."""
+    """A statistic off by one on the words starting NE is caught by verify,
+    which calls the public wrappers over the word kernels, and changes what
+    enumerate and table, which read the walk's running sums, write."""
 
     @pytest.mark.parametrize(
         "kernel,checks",
@@ -246,9 +246,7 @@ class TestBrokenKernels:
             ("_area_cells", {"area-formula"}),
         ],
     )
-    def test_verify_and_enumerate_see_it(self, tmp_path, monkeypatch, kernel, checks):
-        args = ("enumerate", "--m", "5", "--n", "3", "--format", "jsonl")
-        _, healthy = run_cli(tmp_path, *args)
+    def test_verify_sees_a_broken_kernel(self, monkeypatch, kernel, checks):
         true_kernel = getattr(sweeplab.stats, kernel)
 
         def broken(steps, *rest):
@@ -257,8 +255,30 @@ class TestBrokenKernels:
         monkeypatch.setattr(sweeplab.stats, kernel, broken)
         results = run_checks(make_params(5, 3, 1))
         assert checks <= {r.name for r in results if not r.passed}
-        _, out = run_cli(tmp_path, *args)
-        assert out != healthy
+
+    @pytest.mark.parametrize("statistic", ["area", "dinv"])
+    def test_enumerate_and_table_see_broken_running_sums(
+        self, tmp_path, monkeypatch, statistic
+    ):
+        commands = [
+            ("enumerate", "--m", "5", "--n", "3", "--format", "jsonl"),
+            ("table", "--m", "5", "--n", "3", "--format", "csv"),
+        ]
+        healthy = [run_cli(tmp_path, *args) for args in commands]
+        true_counts = sweeplab.stats._walk_counts
+
+        def broken(params):
+            for steps, ranks, area, dinv in true_counts(params):
+                off = steps[0] == "N" and steps[1] == "E"
+                if statistic == "area":
+                    area += off
+                else:
+                    dinv += off
+                yield steps, ranks, area, dinv
+
+        monkeypatch.setattr(sweeplab.stats, "_walk_counts", broken)
+        for args, (code, out) in zip(commands, healthy):
+            assert run_cli(tmp_path, *args) != (code, out), args[0]
 
 
 class TestTableCommand:
@@ -422,6 +442,24 @@ class TestUsageErrors:
 
 
 class TestConsoleEntryPoint:
+    def test_closed_pipe_exits_4_without_a_traceback(self):
+        # `sweeplab enumerate --m 14 --n 9 | head -1`: the reader closes the
+        # pipe after one line, long before the 2 MB of output is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sweeplab", "enumerate", "--m", "14", "--n", "9"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=subprocess_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 4
+        assert first == b"NNNNNNNNNEEEEEEEEEEEEEE area=52 dinv=0 sweep=NENEENENEENENEENENEENEE\n"
+        assert "Traceback" not in stderr
+        assert stderr == "sweeplab: error: cannot write the output: Broken pipe\n"
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "sweeplab", "verify", "--m", "3", "--n", "2", "--d", "1"],

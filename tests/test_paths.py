@@ -137,7 +137,7 @@ class TestRanks:
     def test_walk_yields_the_letters_and_ranks_of_each_path(self, m, n, d):
         # the walk yields the same two lists each time, so each is copied
         params = make_params(m, n, d)
-        walked = [(tuple(steps), tuple(ranks)) for steps, ranks in _walk(params)]
+        walked = [(tuple(steps), tuple(ranks)) for steps, ranks, _ in _walk(params)]
         assert walked == [(w.steps, start_ranks(w)) for w in enumerate_dyck(params)]
 
     @pytest.mark.parametrize("m,n,d", PARAM_SETS)
@@ -145,11 +145,26 @@ class TestRanks:
         # enumerate, table and the unsweep table read the walk with no
         # per-path check, so the walk must guarantee what such a check tests
         params = make_params(m, n, d)
-        for steps, ranks in _walk(params):
+        for steps, ranks, _ in _walk(params):
             assert set(steps) <= {"N", "E"}
             assert steps.count("N") == d * n and steps.count("E") == d * m
             assert min(ranks) >= 0
             assert tuple(ranks) == start_ranks(StepWord(tuple(steps), params))
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_walk_yields_the_first_letter_it_rewrote(self, m, n, d):
+        # stats._walk_counts keeps its running sums below lo, so lo must be
+        # the first letter that changed, and a North step of the previous
+        # path: the counts before it, and the East ranks, stay valid
+        previous = None
+        for steps, _, lo in _walk(make_params(m, n, d)):
+            if previous is None:
+                assert lo == 0
+            else:
+                changed = next(i for i, (a, b) in enumerate(zip(previous, steps)) if a != b)
+                assert lo == changed
+                assert previous[lo] == "N"
+            previous = tuple(steps)
 
 
 class TestIsDyck:
@@ -215,6 +230,7 @@ class TestEnumerate:
         "limit,error,message",
         [
             (4, LimitExceeded, "5 steps exceed the enumeration limit 4"),
+            (1, LimitExceeded, "5 steps exceed the enumeration limit 1"),
             (0, ValueError, "limit must be a positive integer, got 0"),
         ],
     )

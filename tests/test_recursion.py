@@ -212,6 +212,7 @@ BAD_MOVES = [
     ("NENEE", RemovalMove(position=1, level=0)),  # level 0 < n
     ("NNEEE", RemovalMove(position=3, level=6)),  # E-E pair
     ("NNEEE", RemovalMove(position=2, level=5)),  # wrong level
+    ("EEENN", RemovalMove(position=5, level=0)),  # position = length, last letter N
 ]
 
 

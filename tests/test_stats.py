@@ -22,6 +22,7 @@ from sweeplab import (
     start_ranks,
     sweep,
 )
+from sweeplab.stats import _walk_counts
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
@@ -191,6 +192,20 @@ class TestDinvSweepsToArea:
                 assert dinv_pairs(word) == area_cells(sweep(word))
 
 
+class TestWalkCounts:
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_running_sums_equal_the_word_kernels(self, m, n, d):
+        # path by path, with d > 1 and its rank ties included: the word
+        # kernels are the reference for the sums kept along the walk
+        walked = [
+            (tuple(steps), area, dinv)
+            for steps, _, area, dinv in _walk_counts(make_params(m, n, d))
+        ]
+        assert walked == [
+            (w.steps, area_cells(w), dinv_pairs(w)) for w in all_dyck(m, n, d)
+        ]
+
+
 class TestJointDistribution:
     def test_321_table(self, p321):
         table = joint_distribution(p321)
@@ -208,8 +223,8 @@ class TestJointDistribution:
 
     @pytest.mark.parametrize("m,n,d", PARAM_SETS)
     def test_counts_equal_the_word_level_tally(self, m, n, d):
-        # the table reads the walk through the kernels; the wrappers on
-        # each enumerated word are the reference
+        # the table reads the walk's running sums; the wrappers on each
+        # enumerated word are the reference
         tally = collections.Counter(
             (area_cells(w), dinv_pairs(w)) for w in enumerate_dyck(make_params(m, n, d))
         )
