@@ -178,16 +178,17 @@ def _cmd_enumerate(args, params) -> int:
     for key in ("m", "n", "d"):  # fixed once, for every line
         line = line.replace("{%s}" % key, str(getattr(params, key)))
     # The walk yields only Dyck paths with the right letter counts, so no
-    # word is built and no path checked: area and dinv come as the running
-    # sums of stats._walk_counts, and the image from the walk's two lists.
-    image = sweeping._image_text
+    # word is built and no path checked or sorted: area and dinv come as the
+    # running sums of stats._walk_counts, and the image from the walk's
+    # buffer, with its empty slots removed.
     with _output(args.out) as fh:
         write = fh.write
         if args.format == "csv":
             write("word,m,n,d,area,dinv,sweep\n")
-        for steps, ranks, area, dinv in stats._walk_counts(params):
+        for steps, swept, area, dinv in stats._walk_counts(params):
             write(line.format(
-                word="".join(steps), area=area, dinv=dinv, sweep=image(steps, ranks)
+                word="".join(steps), area=area, dinv=dinv,
+                sweep=swept.translate(None, b"\0").decode(),
             ))
     return EXIT_OK
 

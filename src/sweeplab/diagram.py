@@ -10,7 +10,8 @@ tests are integer interval tests, never geometry.
 For Dyck words every arrow stays inside rows 0..dmn-1.  Non-Dyck words are
 allowed too (their arrows dip below row 0), which is exactly what the row
 structure check detects.  That check walks the arrows once with one
-expected color per row, so no per-row segment list is ever built.
+expected color per row, held as one bit of a single int, so no per-row
+segment list is ever built.
 """
 
 from __future__ import annotations
@@ -70,26 +71,26 @@ def check_row_structure(diagram: PathDiagram) -> bool:
     each row's segments left to right for a built diagram, with one state
     per row: 0 while the row expects red, 1 while it expects blue.  A red
     arrow needs every row it crosses at 0 and sets them to 1; a blue arrow
-    needs them at 1 and sets them to 0; every row must end at 0.  Each
-    arrow reads and writes its rows as one bytearray slice, so the cost is
-    one step per arrow and no row's segment list is built.
+    needs them at 1 and sets them to 0; either way it flips them, and every
+    row must end at 0.  The states are the bits of one int, bit r - low for
+    row r, so each arrow tests and flips its rows with one mask: one step
+    per arrow, and no row's segment list is built.
     """
     if not diagram.arrows:
         return True
     m, n = diagram.params.m, diagram.params.n
     _, colors, starts = zip(*diagram.arrows)
     low = min(starts) - n  # the lowest row a blue arrow can cross
-    state = bytearray(max(starts) + m - low)
-    zeros_m, ones_m = bytes(m), b"\x01" * m
-    zeros_n, ones_n = bytes(n), b"\x01" * n
+    reds, blues = (1 << m) - 1, (1 << n) - 1
+    state = 0
     for color, start in zip(colors, starts):
-        r = start - low
         if color == RED:
-            if state[r:r + m] != zeros_m:
+            rows = reds << (start - low)
+            if state & rows:
                 return False
-            state[r:r + m] = ones_m
         else:
-            if state[r - n:r] != ones_n:
+            rows = blues << (start - n - low)
+            if state & rows != rows:
                 return False
-            state[r - n:r] = zeros_n
-    return not any(state)
+        state ^= rows
+    return not state

@@ -16,16 +16,19 @@ hold them and hand them over through `hand_over_ranks`: the enumeration
 and `recursion.apply_move`, whose swapped word differs from its parent in
 one start rank.  The enumeration walk (`_walk`) keeps each step's letter
 and start rank in two lists that it changes in place and yields after
-every path, with the first index it rewrote since its previous yield;
-`enumerate_dyck` copies the lists into a word with its ranks.  The
-consumers that need no word read the lists directly: the unsweep table in
-`sweeping`, and `stats._walk_counts`, whose running sums of area and dinv
-feed `sweeplab enumerate` and `stats.joint_distribution` (`sweeplab
-table`) and recount each path only from that index on.  They check no
-path, since the walk's pruning yields only Dyck paths with dn North and dm
-East letters.  Any other word (a sweep image, a parsed word) computes its
-ranks on first use, as a running sum (`itertools.accumulate`) of the step
-each letter contributes.
+every path, with the first index it rewrote since its previous yield and
+a buffer that holds the path's sweep image as a counting sort by start
+rank, kept up to date step by step as the lists change; `enumerate_dyck`
+copies the lists into a word with its ranks and ignores the buffer.  The
+consumers that need no word read the walk directly: the unsweep table in
+`sweeping`, which reads the image off the buffer, and `stats._walk_counts`,
+whose running sums of area and dinv feed `sweeplab enumerate` (with the
+buffer's image) and `stats.joint_distribution` (`sweeplab table`) and
+recount each path only from that index on.  They check no path, since the
+walk's pruning yields only Dyck paths with dn North and dm East letters.
+Any other word (a sweep image, a parsed word) computes its ranks on first
+use, as a running sum (`itertools.accumulate`) of the step each letter
+contributes.
 """
 
 from __future__ import annotations
@@ -151,6 +154,11 @@ class StepWord:
         except KeyError as exc:
             raise BadLetter(f"letter {exc.args[0]!r} is not N or E") from None
 
+    @cached_property
+    def _dyck(self) -> bool:
+        """Whether no start rank is negative; see is_dyck."""
+        return min(self._ranks) >= 0
+
 
 _ALPHABET = {"N": NORTH, "E": EAST, "S": NORTH, "W": EAST}
 
@@ -192,8 +200,11 @@ def start_ranks(word: StepWord) -> tuple[int, ...]:
 
 
 def is_dyck(word: StepWord) -> bool:
-    """True iff every vertex rank along the path is nonnegative."""
-    return min(start_ranks(word)) >= 0
+    """True iff every vertex rank along the path is nonnegative.
+
+    The verdict is computed once per word, so the kernels that each refuse
+    a non-Dyck word (require_dyck) share it."""
+    return word._dyck
 
 
 def require_dyck(word: StepWord) -> None:
@@ -233,7 +244,7 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     check_step_limit(params, limit)
     return (
         hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
-        for steps, ranks, _ in _walk(params)
+        for steps, ranks, _, _ in _walk(params)
     )
 
 
@@ -247,32 +258,52 @@ def _walk(params: Params):
     copies what it keeps.  With them comes `lo`, the first index rewritten
     since the previous yield (0 for the first path): the letters before it
     are the previous path's, and there the previous path had a North step,
-    now turned East.  No limit is checked here."""
-    m, n = params.m, params.n
+    now turned East.  Last comes `swept`, a bytearray of (dmn + 1)*d slots
+    that holds the path's sweep image as a counting sort of its steps: the
+    step of start rank r (in [0, dmn] on a Dyck path) with h steps of that
+    rank left of it holds its letter's byte at r*d + d-1-h, so tied steps
+    read rightmost first, the order of `sweeping._sweep_columns`, and every
+    other slot is 0.  Each step's slot is written where its rank is and
+    cleared when the backtrack drops it; `top[r]` is the next free slot of
+    rank r.  No limit is checked here."""
+    m, n, d = params.m, params.n, params.d
     length = params.step_count
     steps = [NORTH] * length
     ranks = [0] * length  # ranks[i] is the start rank of steps[i]
+    swept = bytearray((params.rect_height + 1) * d)
+    top = list(range(d - 1, len(swept), d))  # top[r]: next free slot of rank r
+    north, east = ord(NORTH), ord(EAST)
     lo = pos = rank = 0
     norths = params.north_count
     while True:
         for i in range(pos, length):
             ranks[i] = rank
+            slot = top[rank]
+            top[rank] = slot - 1
             if norths:
                 steps[i] = NORTH
+                swept[slot] = north
                 rank += m
                 norths -= 1
             else:
                 steps[i] = EAST
+                swept[slot] = east
                 rank -= n
-        yield steps, ranks, lo
+        yield steps, ranks, lo, swept
         pos = length - 1
         while pos >= 0 and (steps[pos] == EAST or ranks[pos] < n):
             norths += steps[pos] == NORTH
+            rank = ranks[pos]
+            slot = top[rank] + 1
+            top[rank] = slot
+            swept[slot] = 0
             pos -= 1
         if pos < 0:
             return
         steps[pos] = EAST
-        rank = ranks[pos] - n
+        rank = ranks[pos]
+        swept[top[rank] + 1] = east  # the same rank, so the same slot
+        rank -= n
         norths += 1
         lo = pos
         pos += 1

@@ -25,14 +25,15 @@ nothing.  verify calls the wrappers, so a broken kernel shows there.
 
 The consumers of the whole enumeration walk (`paths._walk`), which yields
 only Dyck paths, read _walk_counts instead: joint_distribution here and
-`sweeplab enumerate`.  It keeps both counts as running sums by position
-across the walk, with the kernels' per-step terms, and recounts each path
-only from the first step the walk rewrote up to its last North step; the
-East steps after that add to neither count.  The kernels stay separate on
-purpose: made resumable so that the walk could share them, they would
-double the cost of a single word, which verify pays per path, and save the
-walk no measurable time.  The tests take the kernels as the reference for
-_walk_counts.
+`sweeplab enumerate`, which also takes each path's sweep image from the
+walk's buffer that _walk_counts passes on.  It keeps both counts as
+running sums by position across the walk, with the kernels' per-step
+terms, and recounts each path only from the first step the walk rewrote up
+to its last North step; the East steps after that add to neither count.
+The kernels stay separate on purpose: made resumable so that the walk
+could share them, they would double the cost of a single word, which
+verify pays per path, and save the walk no measurable time.  The tests
+take the kernels as the reference for _walk_counts.
 """
 
 from __future__ import annotations
@@ -239,8 +240,9 @@ def joint_distribution(params: Params, limit: int | None = None) -> StatTable:
 
 
 def _walk_counts(params: Params):
-    """Yield (steps, ranks, area, dinv) for every path of `paths._walk`,
-    whose two lists are yielded as they are; no limit is checked here.
+    """Yield (steps, swept, area, dinv) for every path of `paths._walk`,
+    whose letters and image buffer are yielded as they are; no limit is
+    checked here.
 
     area and dinv are _area_cells and _dinv_pairs of the path, kept as
     running sums by position: area_at[i] and dinv_at[i] count the steps
@@ -256,7 +258,7 @@ def _walk_counts(params: Params):
     dinv_at = [0] * (params.step_count + 1)
     seen: list[int] = []
     easts: list[int] = []
-    for steps, ranks, lo in _walk(params):
+    for steps, ranks, lo, swept in _walk(params):
         y = (ranks[lo] + n * lo) // width  # North steps before lo: r = m*y - n*x
         for rank in easts[lo - y:]:
             del seen[bisect_left(seen, rank)]
@@ -275,4 +277,4 @@ def _walk_counts(params: Params):
             i += 1
             area_at[i] = area
             dinv_at[i] = dinv
-        yield steps, ranks, area, dinv
+        yield steps, swept, area, dinv

@@ -8,15 +8,18 @@ key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
 `sweep_key` states that order as a sort key; its only library caller is
-`recursion._pick_move`.  `sweep` (through `sweep_order`), `unsweep` and
-`enumerate` read `_sweep_columns` instead, which realizes the order with
-one stable sort of the columns, listed right to left, by start rank:
-equal ranks keep their input order, which is rightmost first, so no key
-tuple is built.  `sweep_order` applies it to the start ranks that `paths`
-caches on a word.  Code that only asks whether one step is swept before
-another compares plain ranks and columns: the step at column c with start
-rank r comes before the one at column c' with rank r' iff r < r', or
-r == r' and c > c'.
+`recursion._pick_move`.  The order has two realizations.  For one word,
+`sweep` (through `sweep_order`) reads `_sweep_columns`, one stable sort of
+the columns, listed right to left, by start rank: equal ranks keep their
+input order, which is rightmost first, so no key tuple is built.
+`sweep_order` applies it to the start ranks that `paths` caches on a word.
+Along the enumeration walk, `paths._walk` keeps each path's image as a
+counting sort instead, in a buffer of one slot per (rank, tie) pair that it
+updates only where the path changed, so `unsweep` and `sweeplab enumerate`
+sort no path.  The tests check each realization against the other.  Code
+that only asks whether one step is swept before another compares plain
+ranks and columns: the step at column c with start rank r comes before the
+one at column c' with rank r' iff r < r', or r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of
@@ -26,13 +29,10 @@ two routes are independent and serve as mutual checks.  It counts a whole
 path in one call, one pass over the arrows in its own line order, so
 `verify` pays one call per path; `green_line_rank` reads one step off it.
 
-`_image_text` is the image of a path held as the enumeration walk's two
-lists (`paths._walk`): its letters read in the order that `_sweep_columns`
-gives its start ranks, the same sort that `sweep` reads, joined into text.
 `unsweep` looks the preimage up in a table of every Dyck path of the
-parameters, filled from the walk through `_image_text`, and `sweeplab
-enumerate` writes each walked path's image with it; neither builds a word
-per path.
+parameters, filled from the walk's image buffer with its empty slots
+removed, and `sweeplab enumerate` writes each walked path's image the same
+way; neither builds a word per path.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ def _sweep_columns(ranks) -> list[int]:
     """
     by_column = (None, *ranks)
     return sorted(range(len(ranks), 0, -1), key=by_column.__getitem__)
-
-
-def _image_text(steps, ranks) -> str:
-    """The text of the sweep image of the path with these letters and start
-    ranks: the letters read in the order of _sweep_columns."""
-    return "".join([steps[c - 1] for c in _sweep_columns(ranks)])
 
 
 def sweep_order(word: StepWord) -> tuple[int, ...]:
@@ -199,19 +193,25 @@ INVERSE_TABLES_KEPT = 4
 
 @functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
 def _inverse_table(params: Params) -> dict[str, str]:
-    # Text values: a StepWord value would keep its cached ranks alive.
-    return {_image_text(steps, ranks): "".join(steps) for steps, ranks, _ in _walk(params)}
+    """Each Dyck path's image text mapped to its own text: the walk's image
+    buffer read with its empty slots removed.  Text values: a StepWord value
+    would keep its cached ranks alive."""
+    return {
+        swept.translate(None, b"\0").decode(): "".join(steps)
+        for steps, _, _, swept in _walk(params)
+    }
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
     Looked up in a table from image text to preimage text, built in one
-    pass of the enumeration walk over all Dyck paths of the parameters
-    through _image_text, with no StepWord built.  The tables of the last
-    INVERSE_TABLES_KEPT parameter sets used are cached.  The parameters must be within the
-    enumeration limit (check_step_limit), on every call, whether or not
-    the table is already cached; LimitExceeded otherwise.  Raises NotInImage
+    pass of the enumeration walk over all Dyck paths of the parameters from
+    the walk's image buffer (see paths._walk), with no StepWord built and
+    no path sorted.  The tables of the last INVERSE_TABLES_KEPT parameter
+    sets used are cached.  The parameters must be within the enumeration
+    limit (check_step_limit), on every call, whether or not the table is
+    already cached; LimitExceeded otherwise.  Raises NotInImage
     if the lookup fails, which cannot happen for a Dyck input unless the
     library is inconsistent.
     """

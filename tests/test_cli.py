@@ -268,13 +268,13 @@ class TestBrokenKernels:
         true_counts = sweeplab.stats._walk_counts
 
         def broken(params):
-            for steps, ranks, area, dinv in true_counts(params):
+            for steps, swept, area, dinv in true_counts(params):
                 off = steps[0] == "N" and steps[1] == "E"
                 if statistic == "area":
                     area += off
                 else:
                     dinv += off
-                yield steps, ranks, area, dinv
+                yield steps, swept, area, dinv
 
         monkeypatch.setattr(sweeplab.stats, "_walk_counts", broken)
         for args, (code, out) in zip(commands, healthy):

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+import sweeplab.paths
 from sweeplab import (
     BadCounts,
     BadLetter,
@@ -10,19 +11,25 @@ from sweeplab import (
     NonPositive,
     NotDyck,
     StepWord,
+    area_cells,
     base_path,
     corner_path,
     count_dyck,
+    dinv_cell_list,
+    dinv_pairs,
     enumerate_dyck,
+    green_line_ranks,
     is_dyck,
     make_params,
     parse_word,
     run_checks,
     south_end_ranks,
     start_ranks,
+    sweep,
     unsweep,
+    valid_moves,
 )
-from sweeplab.paths import _walk, check_step_limit
+from sweeplab.paths import _walk, check_step_limit, hand_over_ranks
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
@@ -137,7 +144,7 @@ class TestRanks:
     def test_walk_yields_the_letters_and_ranks_of_each_path(self, m, n, d):
         # the walk yields the same two lists each time, so each is copied
         params = make_params(m, n, d)
-        walked = [(tuple(steps), tuple(ranks)) for steps, ranks, _ in _walk(params)]
+        walked = [(tuple(steps), tuple(ranks)) for steps, ranks, _, _ in _walk(params)]
         assert walked == [(w.steps, start_ranks(w)) for w in enumerate_dyck(params)]
 
     @pytest.mark.parametrize("m,n,d", PARAM_SETS)
@@ -145,7 +152,7 @@ class TestRanks:
         # enumerate, table and the unsweep table read the walk with no
         # per-path check, so the walk must guarantee what such a check tests
         params = make_params(m, n, d)
-        for steps, ranks, _ in _walk(params):
+        for steps, ranks, _, _ in _walk(params):
             assert set(steps) <= {"N", "E"}
             assert steps.count("N") == d * n and steps.count("E") == d * m
             assert min(ranks) >= 0
@@ -157,7 +164,7 @@ class TestRanks:
         # the first letter that changed, and a North step of the previous
         # path: the counts before it, and the East ranks, stay valid
         previous = None
-        for steps, _, lo in _walk(make_params(m, n, d)):
+        for steps, _, lo, _ in _walk(make_params(m, n, d)):
             if previous is None:
                 assert lo == 0
             else:
@@ -165,6 +172,19 @@ class TestRanks:
                 assert lo == changed
                 assert previous[lo] == "N"
             previous = tuple(steps)
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_walk_holds_each_image_in_its_rank_slots(self, m, n, d):
+        # the unsweep table and enumerate read the image off this buffer,
+        # a counting sort of the steps, with no sort of their own: it must
+        # hold one letter per step, in the order that sweep's sort gives
+        params = make_params(m, n, d)
+        walked = _walk(params)
+        for word, (_, ranks, _, swept) in zip(enumerate_dyck(params), walked, strict=True):
+            assert len(swept) - swept.count(0) == params.step_count
+            assert swept.translate(None, b"\0").decode() == sweep(word).text
+            assert 0 <= min(ranks) and max(ranks) <= params.rect_height
+            assert max(map(ranks.count, ranks)) <= d
 
 
 class TestIsDyck:
@@ -177,6 +197,23 @@ class TestIsDyck:
         for (m, n, d) in PARAM_SETS[:4]:
             for word in all_dyck(m, n, d):
                 assert min(start_ranks(word) + (0,)) >= 0
+
+    def test_the_verdict_is_computed_once_per_word(self, p321):
+        word = parse_word("NEENE", p321)
+        assert not is_dyck(word)
+        hand_over_ranks(word, (0,) * len(word))  # ranks that would pass
+        assert not is_dyck(word)
+
+    def test_every_kernel_asks_is_dyck(self, monkeypatch, p321):
+        # the verdict is cached on the word, but each kernel's Dyck check
+        # still goes through is_dyck, so a broken verdict reaches them all
+        monkeypatch.setattr(sweeplab.paths, "is_dyck", lambda word: False)
+        word = parse_word("NENEE", p321)
+        kernels = (area_cells, dinv_pairs, dinv_cell_list, south_end_ranks,
+                   green_line_ranks, valid_moves)
+        for kernel in kernels:
+            with pytest.raises(NotDyck):
+                kernel(word)
 
 
 class TestEnumerate:
