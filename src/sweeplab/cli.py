@@ -1,13 +1,15 @@
 """Command-line surface.
 
-    sweeplab stats     --m M --n N [--d D] [--format text|jsonl] WORD
+    sweeplab stats     --m M --n N [--d D] [--format text|jsonl] [--out FILE] WORD
     sweeplab enumerate --m M --n N [--d D] [--limit L] [--format text|csv|jsonl]
-    sweeplab verify    --m M --n N [--d D] [--limit L] [--jobs J]
+                       [--out FILE]
+    sweeplab verify    --m M --n N [--d D] [--limit L] [--jobs J] [--out FILE]
     sweeplab table     --m M --n N [--d D] [--limit L] [--format text|csv]
+                       [--out FILE]
     sweeplab render    --m M --n N [--d D] [--style grid|diagram]
-                       [--highlight STEP] WORD
-    sweeplab sweep     --m M --n N [--d D] WORD
-    sweeplab unsweep   --m M --n N [--d D] [--limit L] WORD
+                       [--highlight STEP] [--out FILE] WORD
+    sweeplab sweep     --m M --n N [--d D] [--out FILE] WORD
+    sweeplab unsweep   --m M --n N [--d D] [--limit L] [--out FILE] WORD
 
 Exit codes: 0 success, 1 verification counterexample, 2 input error,
 3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
@@ -123,32 +125,25 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-#: The output line of one _record, per format: `enumerate` uses each of them
-#: and `stats --format jsonl` the JSONL one.  The JSONL line is json.dumps of
-#: the record, keys in _record order; no value needs escaping, since a word
-#: is letters N and E and every other value an int.
+#: The output line of one path, per format: `enumerate` uses each of them
+#: and `stats --format jsonl` the JSONL one.  m, n and d are str.format
+#: fields, filled once per run by _line; the word, area, dinv and sweep
+#: image are %-fields, in that order, filled once per path.  The JSONL line
+#: is json.dumps of a dict with its keys in this order; no value needs
+#: escaping, since a word is letters N and E and every other value an int.
 _LINES = {
     "jsonl": (
-        '{{"word": "{word}", "m": {m}, "n": {n}, "d": {d}, '
-        '"area": {area}, "dinv": {dinv}, "sweep": "{sweep}"}}\n'
+        '{{"word": "%s", "m": {m}, "n": {n}, "d": {d}, '
+        '"area": %d, "dinv": %d, "sweep": "%s"}}\n'
     ),
-    "csv": "{word},{m},{n},{d},{area},{dinv},{sweep}\n",
-    "text": "{word} area={area} dinv={dinv} sweep={sweep}\n",
+    "csv": "%s,{m},{n},{d},%d,%d,%s\n",
+    "text": "%s area=%d dinv=%d sweep=%s\n",
 }
 
 
-def _record(word, image=None):
-    image = sweeping.sweep(word) if image is None else image
-    p = word.params
-    return {
-        "word": word.text,
-        "m": p.m,
-        "n": p.n,
-        "d": p.d,
-        "area": stats.area_cells(word),
-        "dinv": stats.dinv_pairs(word),
-        "sweep": image.text,
-    }
+def _line(fmt: str, params: paths.Params) -> str:
+    """The _LINES template of `fmt` with m, n and d filled in."""
+    return _LINES[fmt].format(m=params.m, n=params.n, d=params.d)
 
 
 def _cmd_stats(args, params) -> int:
@@ -156,7 +151,10 @@ def _cmd_stats(args, params) -> int:
     image = sweeping.sweep(word)
     # both formats call area_cells, which refuses a non-Dyck word, before any output
     if args.format == "jsonl":
-        _emit(_LINES["jsonl"].format_map(_record(word, image)), args.out)
+        line = _line("jsonl", params) % (
+            word.text, stats.area_cells(word), stats.dinv_pairs(word), image.text
+        )
+        _emit(line, args.out)
         return EXIT_OK
     lines = [
         f"word={word.text}",
@@ -174,9 +172,7 @@ def _cmd_stats(args, params) -> int:
 
 def _cmd_enumerate(args, params) -> int:
     paths.check_step_limit(params, args.limit)  # before the output is opened
-    line = _LINES[args.format]
-    for key in ("m", "n", "d"):  # fixed once, for every line
-        line = line.replace("{%s}" % key, str(getattr(params, key)))
+    line = _line(args.format, params)
     # The walk yields only Dyck paths with the right letter counts, so no
     # word is built and no path checked or sorted: area and dinv come as the
     # running sums of stats._walk_counts, and the image from the walk's
@@ -186,10 +182,7 @@ def _cmd_enumerate(args, params) -> int:
         if args.format == "csv":
             write("word,m,n,d,area,dinv,sweep\n")
         for steps, swept, area, dinv in stats._walk_counts(params):
-            write(line.format(
-                word="".join(steps), area=area, dinv=dinv,
-                sweep=swept.translate(None, b"\0").decode(),
-            ))
+            write(line % ("".join(steps), area, dinv, swept.translate(None, b"\0").decode()))
     return EXIT_OK
 
 

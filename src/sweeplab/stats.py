@@ -11,11 +11,14 @@ and the corner path attains the maximum.  area_cells solves that cell
 condition row by row in one O(L) walk over the L steps; area_rank_formula
 reads the North-step start ranks instead.
 
-dinv counts pairs of an East step before a North step whose start ranks
-a, b satisfy 0 <= a - b < m + n.  dinv_pairs counts them for each North
-step by bisecting the sorted start ranks of the East steps before it, in
-O(L log L) comparisons; dinv_cell_list tests the same inequality cell by
-cell over the cells above the path, in O(L^2).
+dinv_pairs counts pairs of an East step before a North step whose start
+ranks a, b satisfy 0 <= a - b < m + n: for each North step it bisects the
+sorted start ranks of the East steps before it, in O(L log L)
+comparisons.  dinv_cell_list reads no ranks: it tests each cell above the
+path by its arm and leg, the hook rule n*arm < m*(leg+1) and
+m*leg <= n*(arm+1), with one bisection per column.  On a Dyck path both
+select the same cells, d > 1 included, where the rule's `<=` side
+decides the rank ties.
 
 Each formulation has one body for a single word.  area_cells and
 dinv_pairs are public wrappers: each refuses a non-Dyck word
@@ -38,13 +41,12 @@ take the kernels as the reference for _walk_counts.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import NonIntegral
 from .paths import (
-    EAST,
     NORTH,
     Params,
     StepWord,
@@ -138,29 +140,31 @@ def _dinv_pairs(steps, ranks, params: Params) -> int:
 
 
 def dinv_cell_list(word: StepWord) -> list[tuple[int, int]]:
-    """The cells above the path that contribute to dinv.
+    """The cells above the path that contribute to dinv, by the arm/leg
+    (hook) rule, row by row and left to right.
 
-    A cell (x, y) above the path contributes when the start rank a of the
-    East step below it and the start rank b of the North step to its
-    right satisfy 0 <= a - b < m + n.  This is the cell-by-cell O(L^2)
-    formulation: for each North step it scans the East steps from the
-    left and stops at the first one after the North step, since no cell
-    of that column or a later one is above the path in its row.  verify
-    checks dinv_pairs against it, so it is kept independent of dinv_pairs
-    on purpose: the two share no code but the start ranks.
+    ends[y] counts the East steps before the North step of row y, so the
+    cells above the path in row y are x < ends[y].  Such a cell has arm
+    ends[y] - 1 - x, the cells above the path to its right in its row, and
+    leg y - first_row[x], those below it in its column, where first_row[x]
+    = bisect_right(ends, x) is the first row whose end exceeds x, since the
+    row ends never decrease.  It contributes when n*arm < m*(leg+1) and
+    m*leg <= n*(arm+1).  Either side can be an equality only for d > 1,
+    and this split of the ties is the one that matches dinv_pairs.
+    verify checks dinv_pairs against it, so it is kept independent of
+    dinv_pairs on purpose: it reads no start ranks.
     """
     require_dyck(word)
     m, n = word.params.m, word.params.n
-    ranks = start_ranks(word)
     norths = [i for i, ch in enumerate(word.steps) if ch == NORTH]
-    easts = [i for i, ch in enumerate(word.steps) if ch == EAST]
+    ends = [i - y for y, i in enumerate(norths)]
+    first_row = [bisect_right(ends, x) for x in range(ends[-1])]
     cells = []
-    for y, npos in enumerate(norths):
-        north_rank = ranks[npos]
-        for x, epos in enumerate(easts):
-            if epos > npos:
-                break
-            if 0 <= ranks[epos] - north_rank < m + n:
+    for y, end in enumerate(ends):
+        for x in range(end):
+            arm = end - 1 - x
+            leg = y - first_row[x]
+            if n * arm < m * (leg + 1) and m * leg <= n * (arm + 1):
                 cells.append((x, y))
     return cells
 

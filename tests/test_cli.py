@@ -10,10 +10,26 @@ import sweeplab.stats
 import sweeplab.sweeping
 import sweeplab.verify
 from sweeplab import enumerate_dyck, make_params, run_checks
-from sweeplab.cli import _LINES, _record, main
+from sweeplab.cli import main
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
 
 JSONL_KEYS = ["word", "m", "n", "d", "area", "dinv", "sweep"]
+
+
+def reference_line(word, fmt):
+    """The output line of `word` in `fmt`, built from the public wrappers
+    and sweep without the CLI's templates: json.dumps of the record for
+    JSONL, an f-string for CSV and text."""
+    p = word.params
+    area = sweeplab.stats.area_cells(word)
+    dinv = sweeplab.stats.dinv_pairs(word)
+    image = sweeplab.sweeping.sweep(word).text
+    if fmt == "jsonl":
+        record = dict(zip(JSONL_KEYS, (word.text, p.m, p.n, p.d, area, dinv, image)))
+        return json.dumps(record) + "\n"
+    if fmt == "csv":
+        return f"{word.text},{p.m},{p.n},{p.d},{area},{dinv},{image}\n"
+    return f"{word.text} area={area} dinv={dinv} sweep={image}\n"
 
 
 def run_cli(tmp_path, *args):
@@ -76,8 +92,7 @@ class TestGoldenOutputs:
 
 
 class TestJsonlLines:
-    """The output lines against the word-level records: json.dumps of each
-    for JSONL, the _LINES template of each for every format."""
+    """The output lines against reference_line of each word."""
 
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_enumerate_lines_equal_json_dumps(self, tmp_path, m, n, d):
@@ -88,14 +103,14 @@ class TestJsonlLines:
         assert code == 0
         lines = out.decode().splitlines(keepends=True)
         words = all_dyck(m, n, d)
-        assert lines == [json.dumps(_record(word)) + "\n" for word in words]
+        assert lines == [reference_line(word, "jsonl") for word in words]
         assert all(list(json.loads(line)) == JSONL_KEYS for line in lines)
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_enumerate_lines_equal_the_word_records(self, tmp_path, m, n, d, fmt):
-        # enumerate reads the walk through the kernels; each word's _record,
-        # from the public wrappers and sweep, is the reference
+        # enumerate reads the walk through the kernels; each word's
+        # reference_line, from the public wrappers and sweep, is the reference
         code, out = run_cli(
             tmp_path, "enumerate", "--m", str(m), "--n", str(n), "--d", str(d),
             "--format", fmt,
@@ -105,7 +120,7 @@ class TestJsonlLines:
         if fmt == "csv":
             assert lines.pop(0) == "word,m,n,d,area,dinv,sweep\n"
         words = all_dyck(m, n, d)
-        assert lines == [_LINES[fmt].format_map(_record(word)) for word in words]
+        assert lines == [reference_line(word, fmt) for word in words]
 
     def test_stats_lines_equal_json_dumps(self, tmp_path):
         for (m, n, d) in PARAM_SETS:
@@ -115,7 +130,7 @@ class TestJsonlLines:
                     "--format", "jsonl", word.text,
                 )
                 line = out.decode()
-                assert line == json.dumps(_record(word)) + "\n"
+                assert line == reference_line(word, "jsonl")
                 assert list(json.loads(line)) == JSONL_KEYS
 
 

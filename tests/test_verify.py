@@ -1,5 +1,6 @@
 import collections
 import concurrent.futures
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -369,6 +370,50 @@ def test_area_cells_does_not_share_the_ranks_of_the_formula(monkeypatch):
     formula = results["area-formula"]
     assert len(formula.failures) == formula.checked == len(all_dyck(7, n, 1))
     assert all(r.passed for name, r in results.items() if name != "area-formula")
+
+
+def dinv_cells_by_ranks(word):
+    """Reference dinv cells: (x, y) above the path, where the start ranks a
+    of East step x and b of North step y satisfy 0 <= a - b < m + n."""
+    width = word.params.m + word.params.n
+    ranks = start_ranks(word)
+    norths = [i for i, ch in enumerate(word.steps) if ch == "N"]
+    easts = [i for i, ch in enumerate(word.steps) if ch == "E"]
+    return [
+        (x, y)
+        for y, npos in enumerate(norths)
+        for x, epos in enumerate(easts)
+        if epos < npos and 0 <= ranks[epos] - ranks[npos] < width
+    ]
+
+
+def test_dinv_cell_list_does_not_share_the_ranks_of_dinv_pairs(monkeypatch):
+    # dinv-formulations checks dinv_pairs, which reads the start ranks,
+    # against dinv_cell_list, which must list the same cells without them;
+    # at d = 2 the hook rule meets equalities, which its split of the ties
+    # must settle as the ranks do
+    words = all_dyck(5, 3, 2)
+    expected = [dinv_cells_by_ranks(word) for word in words]
+
+    def no_ranks(word):
+        raise AssertionError("dinv_cell_list read the start ranks")
+
+    monkeypatch.setattr(sweeplab.stats, "start_ranks", no_ranks)
+    assert [sweeplab.stats.dinv_cell_list(word) for word in words] == expected
+
+
+def test_a_strict_hook_rule_fails_dinv_formulations_only_with_ties(monkeypatch):
+    # dinv_cell_list rebuilt from its source with `<` for its `<=`: the
+    # hook rule's tie convention shows at d > 1 and nowhere at d = 1
+    source = inspect.getsource(sweeplab.stats.dinv_cell_list)
+    strict = source.replace("m * leg <= n * (arm + 1)", "m * leg < n * (arm + 1)")
+    assert strict != source
+    namespace = dict(vars(sweeplab.stats))
+    exec(compile(strict, sweeplab.stats.__file__, "exec"), namespace)
+    monkeypatch.setattr(sweeplab.stats, "dinv_cell_list", namespace["dinv_cell_list"])
+    for params, failing in [((5, 3, 2), {"dinv-formulations"}), ((7, 5, 1), set())]:
+        results = run_checks(make_params(*params))
+        assert {r.name for r in results if not r.passed} == failing, params
 
 
 def test_a_rank_sum_off_the_congruence_is_recorded(monkeypatch, capsys):
