@@ -1,12 +1,13 @@
-"""Exploratory check: do the top bands stay empty under the
-sweep-latest-east move choice?
+"""Exploratory check: do the top bands stay empty along the chains of
+reduce_to_base?
 
-Picking, among the valid removal moves of a path, the one whose East step
-is swept last is expected to leave both top bands without segments (which
-collapses two terms of the recursions).  The library does not assert
-that claim, because its exact quantification is unsettled; this script
-measures it.  tests/test_scripts.py pins the measurement for paths of up
-to 7 steps, where all 36 chain moves leave the top bands empty.
+reduce_to_base picks, among the valid removal moves of a path, the one
+whose East step is swept last.  That choice is expected to leave both top
+bands without segments (which collapses two terms of the recursions).
+The library does not assert that claim, because its exact quantification
+is unsettled; this script measures it.  tests/test_scripts.py pins the
+measurement for paths of up to 7 steps, where all 36 chain moves leave the
+top bands empty.
 
 Usage: python scripts/region_survey.py [MAX_STEPS]
 """
@@ -15,7 +16,6 @@ import math
 import sys
 
 from sweeplab import (
-    SWEEP_LATEST_EAST,
     apply_move,
     make_params,
     enumerate_dyck,
@@ -37,7 +37,7 @@ def survey(max_steps: int) -> None:
                 moves = clean = 0
                 for word in enumerate_dyck(params, limit=max_steps):
                     current = word
-                    for move in reduce_to_base(word, SWEEP_LATEST_EAST):
+                    for move in reduce_to_base(word):
                         counts = region_counts(current, move)
                         moves += 1
                         if counts.red_top_left == 0 and counts.red_top_right == 0 \

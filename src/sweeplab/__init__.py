@@ -61,8 +61,6 @@ from .stats import (
     max_stat,
 )
 from .recursion import (
-    FIRST_VALID,
-    SWEEP_LATEST_EAST,
     RegionCounts,
     RemovalMove,
     apply_move,

@@ -105,8 +105,7 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
 class StepWord:
     """An immutable word of North/East steps with its parameters; its start
     ranks are computed once, on first use, unless its builder handed them
-    over (see hand_over_ranks).  Equal words have equal steps, so the hash
-    is that of the steps alone."""
+    over (see hand_over_ranks)."""
 
     steps: tuple[str, ...]
     params: Params
@@ -135,9 +134,6 @@ class StepWord:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def __hash__(self) -> int:
-        return hash(self.steps)
 
     @cached_property
     def _ranks(self) -> tuple[int, ...]:
@@ -262,7 +258,7 @@ def _walk(params: Params):
     that holds the path's sweep image as a counting sort of its steps: the
     step of start rank r (in [0, dmn] on a Dyck path) with h steps of that
     rank left of it holds its letter's byte at r*d + d-1-h, so tied steps
-    read rightmost first, the order of `sweeping._sweep_columns`, and every
+    read rightmost first, the order of `sweeping.sweep_order`, and every
     other slot is 0.  Each step's slot is written where its rank is and
     cleared when the backtrack drops it; `top[r]` is the next free slot of
     rank r.  No limit is checked here."""

@@ -20,6 +20,8 @@ integer rank-interval tests below) gives both the change of the sweep
 image's area and the change of dinv under the move.  The two deltas agree
 because each band's red and blue counts are tied by the alternating row
 pattern, which is how the main identity reduces to the area-0 base case.
+reduce_to_base follows one such chain of moves down to the base path,
+taking at each word the move whose East step is swept last (`sweep_key`).
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ from .paths import (
 )
 from .sweeping import sweep_key
 from .stats import area_cells
-
-FIRST_VALID = "first-valid"
-SWEEP_LATEST_EAST = "sweep-latest-east"
-STRATEGIES = (FIRST_VALID, SWEEP_LATEST_EAST)
 
 
 class RemovalMove(NamedTuple):
@@ -253,31 +251,20 @@ def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
     return rank_before - rank_after == band
 
 
-def _pick_move(word: StepWord, moves: list[RemovalMove], strategy: str) -> RemovalMove:
-    if strategy == FIRST_VALID:
-        return moves[0]
-    # SWEEP_LATEST_EAST: the East step at p+1 starts at level k+m
-    m = word.params.m
-    return max(moves, key=lambda mv: sweep_key(mv.level + m, mv.position + 1))
+def reduce_to_base(word: StepWord) -> list[RemovalMove]:
+    """A chain of valid moves from `word` down to the area-0 base path,
+    each the move whose East step is swept last: the highest start rank
+    k+m of the East step at p+1, the smaller column among tied ranks.
 
-
-def reduce_to_base(word: StepWord, strategy: str = FIRST_VALID) -> list[RemovalMove]:
-    """A chain of valid moves from `word` down to the area-0 base path.
-
-    The chain length always equals the word's area.  Raises ValueError,
-    before any move, for a strategy not in STRATEGIES, and NoMoveAvailable
+    The chain length always equals the word's area.  Raises NoMoveAvailable
     if a positive-area word offers no move, which would mean the library
     is inconsistent.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; use one of {STRATEGIES}")
+    m = word.params.m
     chain: list[RemovalMove] = []
     current = word
-    while True:
-        moves = valid_moves(current)
-        if not moves:
-            break
-        move = _pick_move(current, moves, strategy)
+    while moves := valid_moves(current):
+        move = max(moves, key=lambda mv: sweep_key(mv.level + m, mv.position + 1))
         chain.append(move)
         current = apply_move(current, move)
     if area_cells(current) != 0 or current != base_path(word.params):

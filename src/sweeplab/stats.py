@@ -21,22 +21,21 @@ select the same cells, d > 1 included, where the rule's `<=` side
 decides the rank ties.
 
 Each formulation has one body for a single word.  area_cells and
-dinv_pairs are public wrappers: each refuses a non-Dyck word
-(require_dyck), then calls its private kernel, _area_cells over the
-letters or _dinv_pairs over the letters and start ranks, which checks
-nothing.  verify calls the wrappers, so a broken kernel shows there.
+dinv_pairs refuse a non-Dyck word (require_dyck), then count; verify looks
+them up in this module at call time, so a broken one shows there.
 
 The consumers of the whole enumeration walk (`paths._walk`), which yields
 only Dyck paths, read _walk_counts instead: joint_distribution here and
 `sweeplab enumerate`, which also takes each path's sweep image from the
 walk's buffer that _walk_counts passes on.  It keeps both counts as
-running sums by position across the walk, with the kernels' per-step
-terms, and recounts each path only from the first step the walk rewrote up
-to its last North step; the East steps after that add to neither count.
-The kernels stay separate on purpose: made resumable so that the walk
-could share them, they would double the cost of a single word, which
-verify pays per path, and save the walk no measurable time.  The tests
-take the kernels as the reference for _walk_counts.
+running sums by position across the walk, with the per-step terms of
+area_cells and dinv_pairs, and recounts each path only from the first step
+the walk rewrote up to its last North step; the East steps after that add
+to neither count.  The word functions stay separate on purpose: made
+resumable so that the walk could share them, they would double the cost of
+a single word, which verify pays per path, and save the walk no measurable
+time.  The tests take area_cells and dinv_pairs as the reference for
+_walk_counts.
 """
 
 from __future__ import annotations
@@ -73,14 +72,9 @@ def area_cells(word: StepWord) -> int:
     (0, 1)
     """
     require_dyck(word)
-    return _area_cells(word.steps, word.params)
-
-
-def _area_cells(steps, params: Params) -> int:
-    """area_cells' count over the letters of a Dyck path; unchecked."""
-    m, n = params.m, params.n
+    m, n = word.params.m, word.params.n
     total = x = y = 0
-    for ch in steps:
+    for ch in word.steps:
         if ch == NORTH:
             total += m * y // n - x
             y += 1
@@ -122,16 +116,10 @@ def dinv_pairs(word: StepWord) -> int:
     (1, 0)
     """
     require_dyck(word)
-    return _dinv_pairs(word.steps, start_ranks(word), word.params)
-
-
-def _dinv_pairs(steps, ranks, params: Params) -> int:
-    """dinv_pairs' count over the letters and start ranks of a Dyck path;
-    unchecked."""
-    width = params.m + params.n
+    width = word.params.m + word.params.n
     seen: list[int] = []
     total = 0
-    for ch, rank in zip(steps, ranks):
+    for ch, rank in zip(word.steps, start_ranks(word)):
         if ch == NORTH:
             total += bisect_left(seen, rank + width) - bisect_left(seen, rank)
         else:
@@ -233,7 +221,7 @@ def joint_distribution(params: Params, limit: int | None = None) -> StatTable:
 
     Both counts come from _walk_counts, with no word built per path: the
     walk yields only Dyck paths with the right letter counts, so the
-    wrappers' Dyck check has nothing to refuse.
+    Dyck check of area_cells and dinv_pairs would have nothing to refuse.
     """
     check_step_limit(params, limit)
     counts: dict[tuple[int, int], int] = {}
@@ -248,7 +236,7 @@ def _walk_counts(params: Params):
     whose letters and image buffer are yielded as they are; no limit is
     checked here.
 
-    area and dinv are _area_cells and _dinv_pairs of the path, kept as
+    area and dinv are area_cells and dinv_pairs of the path, kept as
     running sums by position: area_at[i] and dinv_at[i] count the steps
     before position i, and `easts` holds the start ranks of the East steps
     inserted into the sorted `seen`, in position order.  The walk rewrites
@@ -272,7 +260,7 @@ def _walk_counts(params: Params):
         while y < norths:
             rank = ranks[i]
             if steps[i] == NORTH:
-                area += rank // n  # _area_cells' m*y//n - x, as r = m*y - n*x
+                area += rank // n  # area_cells' m*y//n - x, as r = m*y - n*x
                 dinv += bisect_left(seen, rank + width) - bisect_left(seen, rank)
                 y += 1
             else:

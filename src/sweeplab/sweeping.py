@@ -8,18 +8,18 @@ key (rank ascending, column descending) encodes this exactly; no floating
 point epsilon is ever used.
 
 `sweep_key` states that order as a sort key; its only library caller is
-`recursion._pick_move`.  The order has two realizations.  For one word,
-`sweep` (through `sweep_order`) reads `_sweep_columns`, one stable sort of
-the columns, listed right to left, by start rank: equal ranks keep their
-input order, which is rightmost first, so no key tuple is built.
-`sweep_order` applies it to the start ranks that `paths` caches on a word.
-Along the enumeration walk, `paths._walk` keeps each path's image as a
-counting sort instead, in a buffer of one slot per (rank, tie) pair that it
-updates only where the path changed, so `unsweep` and `sweeplab enumerate`
-sort no path.  The tests check each realization against the other.  Code
-that only asks whether one step is swept before another compares plain
-ranks and columns: the step at column c with start rank r comes before the
-one at column c' with rank r' iff r < r', or r == r' and c > c'.
+`recursion.reduce_to_base`.  The order has two realizations.  For one
+word, `sweep` reads `sweep_order`, one stable sort of the columns, listed
+right to left, by the start ranks that `paths` caches on the word: equal
+ranks keep their input order, which is rightmost first, so no key tuple is
+built.  Along the enumeration walk, `paths._walk` keeps each path's image
+as a counting sort instead, in a buffer of one slot per (rank, tie) pair
+that it updates only where the path changed, so `unsweep` and `sweeplab
+enumerate` sort no path.  The tests check each realization against the
+other.  Code that only asks whether one step is swept before another
+compares plain ranks and columns: the step at column c with start rank r
+comes before the one at column c' with rank r' iff r < r', or r == r' and
+c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of
@@ -61,20 +61,15 @@ def sweep_key(rank: int, column: int) -> tuple[int, int]:
     return (rank, -column)
 
 
-def _sweep_columns(ranks) -> list[int]:
-    """The columns (1-based) of steps with these start ranks, in sweep order.
+def sweep_order(word: StepWord) -> tuple[int, ...]:
+    """Step positions (1-based) sorted into sweep order.
 
     One stable sort of the columns, right to left, by start rank: columns
     of equal rank keep their input order, rightmost first, which is the
     order of sweep_key.
     """
-    by_column = (None, *ranks)
-    return sorted(range(len(ranks), 0, -1), key=by_column.__getitem__)
-
-
-def sweep_order(word: StepWord) -> tuple[int, ...]:
-    """Step positions (1-based) sorted into sweep order; see _sweep_columns."""
-    return tuple(_sweep_columns(start_ranks(word)))
+    by_column = (None, *start_ranks(word))
+    return tuple(sorted(range(len(word), 0, -1), key=by_column.__getitem__))
 
 
 def sweep(word: StepWord) -> StepWord:

@@ -75,9 +75,6 @@ def _word_failures(params, limit, lo, hi):
     # entry is deleted when that path is reached.
     direct: dict[str, tuple[paths.StepWord, int, int | None]] = {}
 
-    def note(check: str, message: str) -> None:
-        fails[check].append(message)
-
     def word_stats(word):
         """(image, dinv, image area) of a path or a swapped word, the area
         None when the image is not Dyck; each word is swept once."""
@@ -100,12 +97,11 @@ def _word_failures(params, limit, lo, hi):
         if area == 0:
             zero_area.append(word.text)
         if image_area is None:
-            note("image-is-dyck", f"word={word.text} image={image.text}")
+            fails["image-is-dyck"].append(f"word={word.text} image={image.text}")
             continue
 
         if dinv != image_area:
-            note(
-                "dinv-sweeps-to-area",
+            fails["dinv-sweeps-to-area"].append(
                 f"word={word.text} dinv={dinv} image={image.text} area={image_area}",
             )
         try:
@@ -113,25 +109,28 @@ def _word_failures(params, limit, lo, hi):
         except NonIntegral:  # a rank sum off the congruence: no area equals it
             area_formula = "undefined"
         if area != area_formula:
-            note("area-formula", f"word={word.text} cells={area} formula={area_formula}")
+            fails["area-formula"].append(
+                f"word={word.text} cells={area} formula={area_formula}"
+            )
         dinv_cells = stats.dinv_cells(word)
         if dinv_cells != dinv:
-            note("dinv-formulations", f"word={word.text} cells={dinv_cells} pairs={dinv}")
+            fails["dinv-formulations"].append(
+                f"word={word.text} cells={dinv_cells} pairs={dinv}"
+            )
         if not diagram.check_row_structure(diagram.build_diagram(word)):
-            note("row-structure", f"word={word.text}")
+            fails["row-structure"].append(f"word={word.text}")
 
         line_ranks = sweeping.green_line_ranks(word)
         for step, image_rank in zip(sweeping.sweep_order(word), paths.start_ranks(image)):
             counted = line_ranks[step - 1]
             if counted != image_rank:
-                note(
-                    "green-line-rank",
+                fails["green-line-rank"].append(
                     f"word={word.text} step={step} counted={counted} rank={image_rank}",
                 )
                 break
 
         if area > 0 and not moves:
-            note("move-existence", f"word={word.text} area={area}")
+            fails["move-existence"].append(f"word={word.text} area={area}")
         for move in moves:
             _, swapped_dinv, swapped_image_area = word_stats(recursion.apply_move(word, move))
             counts = recursion.region_counts(word, move)
@@ -139,25 +138,23 @@ def _word_failures(params, limit, lo, hi):
             direct_area = ("undefined" if swapped_image_area is None
                            else image_area - swapped_image_area)
             if counts.area_delta != direct_area:
-                note(
-                    "area-recursion",
+                fails["area-recursion"].append(
                     f"word={word.text} p={move.position} "
                     f"delta={counts.area_delta} direct={direct_area}",
                 )
             direct_dinv = dinv - swapped_dinv
             if counts.dinv_delta != direct_dinv:
-                note(
-                    "dinv-recursion",
+                fails["dinv-recursion"].append(
                     f"word={word.text} p={move.position} "
                     f"delta={counts.dinv_delta} direct={direct_dinv}",
                 )
             if not recursion.rank_difference_check(word, move):
-                note("rank-difference", f"word={word.text} p={move.position}")
+                fails["rank-difference"].append(f"word={word.text} p={move.position}")
             if (
                 counts.red_top_left != counts.blue_top_left
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
-                note("cross-identities", f"word={word.text} p={move.position}")
+                fails["cross-identities"].append(f"word={word.text} p={move.position}")
     return fails, move_total, pairs, zero_area
 
 

@@ -1,4 +1,6 @@
+import __future__
 import functools
+import inspect
 import itertools
 import os
 from pathlib import Path
@@ -58,6 +60,24 @@ def row_segments(diagram) -> dict[int, list[tuple[int, str]]]:
         for j in span:
             rows.setdefault(j, []).append((column, color))
     return rows
+
+
+def rebuilt(module, name: str, old: str, new: str):
+    """`module.name` rebuilt from its source with the one occurrence of
+    `old` replaced by `new`.  Its globals are the module's own, so the
+    names it calls resolve as the original's do, patches included."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    code = compile(
+        source.replace(old, new),
+        module.__file__,
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace: dict = {}
+    exec(code, vars(module), namespace)
+    return namespace[name]
 
 
 def golden_bytes(name: str) -> bytes:

@@ -13,8 +13,6 @@ import pytest
 
 import sweeplab.stats
 from sweeplab import (
-    FIRST_VALID,
-    SWEEP_LATEST_EAST,
     apply_move,
     area_cells,
     area_rank_formula,
@@ -163,22 +161,21 @@ def test_c09_counting():
     assert count_dyck(make_params(7, 5, 1)) == 66
 
 
-@criterion(10, "reduction chains of exact length under both strategies")
+@criterion(10, "reduction chains of exact length")
 def test_c10_reduction_chains():
     for (m, n, d) in PARAM_SETS:
         params = make_params(m, n, d)
         base = base_path(params)
         for word in all_dyck(m, n, d):
             area = area_cells(word)
-            for strategy in (FIRST_VALID, SWEEP_LATEST_EAST):
-                chain = reduce_to_base(word, strategy)
-                assert len(chain) == area, (word.text, strategy)
-                current = word
-                for move in chain:
-                    following = apply_move(current, move)
-                    assert area_cells(following) == area_cells(current) - 1
-                    current = following
-                assert current == base
+            chain = reduce_to_base(word)
+            assert len(chain) == area, word.text
+            current = word
+            for move in chain:
+                following = apply_move(current, move)
+                assert area_cells(following) == area_cells(current) - 1
+                current = following
+            assert current == base
 
 
 @criterion(11, "joint distribution marginals agree")

@@ -251,21 +251,22 @@ class TestVerifyCommand:
 
 class TestBrokenKernels:
     """A statistic off by one on the words starting NE is caught by verify,
-    which calls the public wrappers over the word kernels, and changes what
-    enumerate and table, which read the walk's running sums, write."""
+    which counts one word at a time with area_cells and dinv_pairs, and
+    changes what enumerate and table, which read the walk's running sums,
+    write."""
 
     @pytest.mark.parametrize(
         "kernel,checks",
         [
-            ("_dinv_pairs", {"dinv-formulations", "dinv-sweeps-to-area"}),
-            ("_area_cells", {"area-formula"}),
+            ("dinv_pairs", {"dinv-formulations", "dinv-sweeps-to-area"}),
+            ("area_cells", {"area-formula"}),
         ],
     )
     def test_verify_sees_a_broken_kernel(self, monkeypatch, kernel, checks):
         true_kernel = getattr(sweeplab.stats, kernel)
 
-        def broken(steps, *rest):
-            return true_kernel(steps, *rest) + (steps[0] == "N" and steps[1] == "E")
+        def broken(word):
+            return true_kernel(word) + word.text.startswith("NE")
 
         monkeypatch.setattr(sweeplab.stats, kernel, broken)
         results = run_checks(make_params(5, 3, 1))

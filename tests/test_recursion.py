@@ -2,8 +2,6 @@ import pytest
 
 import sweeplab.recursion
 from sweeplab import (
-    FIRST_VALID,
-    SWEEP_LATEST_EAST,
     InvalidMove,
     NotDyck,
     RegionCounts,
@@ -417,30 +415,17 @@ class TestReduceToBase:
             chain = reduce_to_base(corner_path(params))
             assert len(chain) == max_stat(params)
 
-    @pytest.mark.parametrize("strategy", [FIRST_VALID, SWEEP_LATEST_EAST])
-    def test_chain_length_equals_area(self, strategy):
+    def test_chain_length_equals_area(self):
         for (m, n, d) in PARAM_SETS:
             params = make_params(m, n, d)
             base = base_path(params)
             for word in all_dyck(m, n, d):
-                chain = reduce_to_base(word, strategy)
+                chain = reduce_to_base(word)
                 assert len(chain) == area_cells(word)
                 current = word
                 for move in chain:
                     current = apply_move(current, move)
                 assert current == base
-
-    def test_unknown_strategy(self, p321):
-        with pytest.raises(ValueError):
-            reduce_to_base(parse_word("NNEEE", p321), "bogus")
-
-    @pytest.mark.parametrize("path", [base_path, corner_path])
-    def test_unknown_strategy_is_refused_before_any_move(self, path):
-        # the base path has no move to pick, so only an up-front check sees
-        # the strategy there
-        for (m, n, d) in PARAM_SETS:
-            with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-                reduce_to_base(path(make_params(m, n, d)), "bogus")
 
     def test_sweep_latest_east_breaks_ties_to_the_smaller_column(self):
         # the picked move is the one whose East step is swept last: highest
@@ -454,5 +439,5 @@ class TestReduceToBase:
                 top = max(mv.level for mv in moves)
                 latest = [mv for mv in moves if mv.level == top]
                 ties += len(latest) > 1
-                assert reduce_to_base(word, SWEEP_LATEST_EAST)[0] == latest[0], word.text
+                assert reduce_to_base(word)[0] == latest[0], word.text
         assert ties > 0

@@ -266,17 +266,18 @@ class TestUnsweep:
             assert tables(make_params(m, n, d)) == expected
 
     def test_a_wrong_sort_disagrees_with_the_walk_table(self, monkeypatch):
-        # the table is the walk's counting sort, sweep is _sweep_columns'
+        # the table is the walk's counting sort, sweep is sweep_order's
         # comparison sort: a wrong tie rule, leftmost first, in the one no
         # longer reaches the other, so each is a check on the other
         params = make_params(3, 2, 2)
         true_table = {sweep(w).text: w.text for w in all_dyck(3, 2, 2)}
 
-        def leftmost_first(ranks):
-            return sorted(range(1, len(ranks) + 1), key=lambda c: ranks[c - 1])
+        def leftmost_first(word):
+            ranks = start_ranks(word)
+            return tuple(sorted(range(1, len(word) + 1), key=lambda c: ranks[c - 1]))
 
         tables = sweeplab.sweeping._inverse_table
-        monkeypatch.setattr(sweeplab.sweeping, "_sweep_columns", leftmost_first)
+        monkeypatch.setattr(sweeplab.sweeping, "sweep_order", leftmost_first)
         tables.cache_clear()
         try:
             table = tables(params)
