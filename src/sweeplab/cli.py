@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 
-from . import paths, render, stats, verify
+from . import paths, stats, verify
 from . import sweeping
 from .errors import (
     BadCounts,
@@ -218,6 +218,8 @@ def _cmd_table(args, params) -> int:
 
 
 def _cmd_render(args, params) -> int:
+    from . import render  # only this command draws, so no other pays its import
+
     word = paths.parse_word(args.word, params)
     paths.require_dyck(word)  # a non-Dyck word exits 2 before a --highlight misuse
     if args.style == "grid":

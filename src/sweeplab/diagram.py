@@ -17,7 +17,7 @@ segment list is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from typing import NamedTuple
 
 from .paths import EAST, NORTH, Params, StepWord, start_ranks
@@ -53,7 +53,9 @@ def build_diagram(word: StepWord) -> PathDiagram:
     """
     ranks = start_ranks(word)
     colors = map(_COLORS.__getitem__, word.steps)
-    return PathDiagram(word.params, tuple(map(Arrow, count(1), colors, ranks)))
+    # tuple.__new__ builds each Arrow in C; Arrow's own __new__ is a Python call
+    arrows = tuple(map(tuple.__new__, repeat(Arrow), zip(count(1), colors, ranks)))
+    return PathDiagram(word.params, arrows)
 
 
 def check_row_structure(diagram: PathDiagram) -> bool:

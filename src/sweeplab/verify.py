@@ -26,12 +26,15 @@ one from its path; rank_difference_check swaps the move's letters and
 ranks again but builds no word.  Each move reader checks the move, and its
 band counts are counted once and give both predicted deltas.
 
-With jobs > 1 the pass runs in forked worker processes, each on its own
-contiguous range of the enumeration.  The `fork` start method is
-required, not merely a default: a forked worker inherits the caller's
-modules as they are, monkeypatches included, where a `spawn` worker would
-re-import and check the unpatched library.  Where `fork` is unavailable
-the pass runs serially.
+With jobs > 1 the pass is split into contiguous ranges of the
+enumeration, with no process pool: the calling process forks one child
+per range but the last, runs the last range itself, and then joins the
+children in range order.  Each child answers through a pipe, with its
+pickled return or the exception it raised.  `os.fork` is required, not
+merely a default: a forked child inherits the caller's modules as they
+are, monkeypatches included, where a freshly started interpreter would
+re-import and check the unpatched library.  Where `os.fork` is
+unavailable the pass runs serially.
 """
 
 from __future__ import annotations
@@ -75,27 +78,29 @@ def _word_failures(params, limit, lo, hi):
     # entry is deleted when that path is reached.
     direct: dict[str, tuple[paths.StepWord, int, int | None]] = {}
 
-    def word_stats(word):
-        """(image, dinv, image area) of a path or a swapped word, the area
-        None when the image is not Dyck; each word is swept once."""
-        known = direct.get(word.text)
+    def word_stats(word, text):
+        """(image, dinv, image area) of a path or a swapped word whose text
+        is `text`, the area None when the image is not Dyck; each word is
+        swept once."""
+        known = direct.get(text)
         if known is None:
             image = sweeping.sweep(word)
             image_area = stats.area_cells(image) if paths.is_dyck(image) else None
-            known = direct[word.text] = (image, stats.dinv_pairs(word), image_area)
+            known = direct[text] = (image, stats.dinv_pairs(word), image_area)
         return known
 
     for word in itertools.islice(paths.enumerate_dyck(params, limit), lo, hi):
+        text = word.text  # joined once per path: the property joins on each read
         # counted and recorded before the image check, which skips the rest
         # of the word
         moves = recursion.valid_moves(word)
         move_total += len(moves)
-        image, dinv, image_area = word_stats(word)
-        del direct[word.text]
-        pairs.append((word.text, image.text))
+        image, dinv, image_area = word_stats(word, text)
+        del direct[text]
+        pairs.append((text, image.text))
         area = stats.area_cells(word)
         if area == 0:
-            zero_area.append(word.text)
+            zero_area.append(text)
         if image_area is None:
             fails["image-is-dyck"].append(f"word={word.text} image={image.text}")
             continue
@@ -132,7 +137,8 @@ def _word_failures(params, limit, lo, hi):
         if area > 0 and not moves:
             fails["move-existence"].append(f"word={word.text} area={area}")
         for move in moves:
-            _, swapped_dinv, swapped_image_area = word_stats(recursion.apply_move(word, move))
+            swapped = recursion.apply_move(word, move)
+            _, swapped_dinv, swapped_image_area = word_stats(swapped, swapped.text)
             counts = recursion.region_counts(word, move)
             # "undefined" when the swapped image is not Dyck: no delta equals it
             direct_area = ("undefined" if swapped_image_area is None
@@ -167,18 +173,110 @@ def check_jobs(jobs: int) -> None:
 
 def _worker_count(jobs: int, path_count: int) -> int:
     """jobs clamped to the CPUs this process may use and to the path count;
-    1 where the fork start method is unavailable."""
-    if min(jobs, path_count) <= 1:
-        return 1
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
+    1 where os.fork is unavailable, since only a forked child inherits the
+    caller's modules, monkeypatches included."""
+    if min(jobs, path_count) <= 1 or not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(jobs, cpus, path_count)
+
+
+def _fork_range(params, limit, lo, hi):
+    """Fork a child that runs _word_failures on [lo, hi) and pickles
+    (True, its return) or (False, the exception it raised) into a pipe;
+    returns the child's pid and the pipe's read end, opened.
+
+    The child leaves through os._exit, so it never returns into the
+    caller's stack and never flushes the stdio buffers it inherited; it
+    exits 0 only once its whole answer is written.
+    """
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                answer = (True, _word_failures(params, limit, lo, hi))
+            except BaseException as exc:
+                answer = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _join(children) -> list:
+    """Wait for each child in `children`, a list of (lo, hi, pid, read end)
+    in range order, reading its pipe to the end first; each is removed from
+    the list once waited for.  Returns their _word_failures returns in
+    order.  The exception a child reported is raised here, with its own
+    type and message, before any later child is waited for; a child that
+    exited without a complete answer raises RuntimeError.
+    """
+    import pickle
+
+    partials = []
+    while children:
+        lo, hi, pid, pipe = children[0]
+        with pipe:
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        del children[0]
+        code = os.waitstatus_to_exitcode(status)
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception:  # no answer, or one cut short
+            ok = None
+        if code or ok is None:
+            ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(
+                f"the worker checking paths [{lo}, {hi}) gave no complete result ({ended})"
+            )
+        if not ok:
+            raise value from None
+        partials.append(value)
+    return partials
+
+
+def _fork_join(params, limit, ranges) -> list:
+    """The _word_failures returns of the contiguous index ranges, in order.
+
+    One forked child runs each range but the last, which this process runs
+    itself meanwhile: the last range is the lightest, since the early paths
+    of the enumeration carry more area and more moves.  The children are
+    then joined in range order, so the exception raised is the earliest
+    range's, as with jobs=1: when the last range raises an Exception, the
+    children are joined first, and its own exception propagates only if
+    none of theirs does.  However this call ends, no child outlives it: on
+    KeyboardInterrupt, say, each child not yet joined is killed and waited
+    for before the exception propagates.
+    """
+    import signal
+
+    children = []  # (lo, hi, pid, read end) of each child not yet waited for
+    try:
+        for lo, hi in ranges[:-1]:
+            children.append((lo, hi, *_fork_range(params, limit, lo, hi)))
+        try:
+            last = _word_failures(params, limit, *ranges[-1])
+        except Exception:
+            _join(children)  # an earlier range's exception comes first
+            raise
+        return [*_join(children), last]
+    finally:
+        for _, _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 CHECK_NAMES = (
@@ -238,12 +336,16 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     One pass enumerates, sweeps and checks each path, and no list of the
     paths is kept: bijectivity and the base case read the (word, image)
     texts and the area-0 paths that the pass returns.  With jobs > 1 the
-    pass is split into contiguous index ranges sized from count_dyck, one
-    per forked worker process, and the last range is left open, so it runs
-    to the end of the enumeration.  The parent concatenates the returns in
-    index order, so the outcome never depends on scheduling.  The worker
+    pass is split into contiguous index ranges sized from count_dyck, and
+    the last range is left open, so it runs to the end of the enumeration.
+    No process pool runs them: this process forks one child per range but
+    the last, runs the last range itself, and reads each child's answer
+    from a pipe, in range order (see _fork_join).  The returns are
+    concatenated in index order, so the outcome never depends on
+    scheduling, and an exception raised in a child's range is raised here
+    with its own type and message, the earliest range's first.  The worker
     count is jobs clamped to the available CPUs and to the path count; with
-    one worker, or without `fork`, the pass runs in this process.  A fork
+    one worker, or without `os.fork`, the pass runs in this process.  A fork
     copies only the calling thread, so pass jobs > 1 only from a process
     that runs no other threads.  Raises ValueError, before any work, when
     jobs or an explicit limit is not a positive int (check_jobs and
@@ -255,19 +357,8 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     workers = _worker_count(jobs, path_count)
 
     if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         starts = [path_count * i // workers for i in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            partials = list(
-                pool.map(
-                    _word_failures, [params] * workers, [limit] * workers,
-                    starts, starts[1:] + [None],
-                )
-            )
+        partials = _fork_join(params, limit, list(zip(starts, starts[1:] + [None])))
     else:
         partials = [_word_failures(params, limit, 0, None)]
 

@@ -210,7 +210,7 @@ class TestVerifyCommand:
             ) == baseline
 
     def test_jobs_run_clean_under_warnings_as_errors(self):
-        # pool teardown and fork must raise no ResourceWarning or
+        # the fork and its pipes must raise no ResourceWarning or
         # DeprecationWarning, and must not change stdout
         def verify(jobs):
             return subprocess.run(

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from sweeplab import (
+    Arrow,
     PathDiagram,
     build_diagram,
     check_row_structure,
@@ -12,7 +13,7 @@ from sweeplab import (
     start_ranks,
 )
 from sweeplab.diagram import BLUE, RED
-from conftest import PARAM_SETS, all_dyck, arrangements, row_segments
+from conftest import PARAM_SETS, WIDE_SETS, all_dyck, arrangements, row_segments
 
 
 def _colors(segs):
@@ -69,6 +70,18 @@ class TestBuildDiagram:
                 for c in range(1, len(word) + 1)
             )
             assert build_diagram(word).arrows == expected, word.text
+
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_arrows_are_arrow_instances(self, m, n, d):
+        # built through tuple.__new__, each is still an Arrow, not a bare tuple
+        for word in all_dyck(m, n, d):
+            arrows = build_diagram(word).arrows
+            assert len(arrows) == len(word)
+            for column, (arrow, letter, rank) in enumerate(
+                zip(arrows, word.steps, start_ranks(word)), start=1
+            ):
+                assert type(arrow) is Arrow
+                assert arrow == Arrow(column, RED if letter == "N" else BLUE, rank)
 
 
 class TestSegmentsInRow:

@@ -1,9 +1,8 @@
 import collections
-import concurrent.futures
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -26,6 +25,8 @@ from sweeplab import (
 )
 from sweeplab.cli import main
 from conftest import PARAM_SETS, all_dyck, rebuilt, subprocess_env
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 
 def test_thirteen_named_checks():
@@ -57,38 +58,116 @@ def test_jobs_give_identical_results(monkeypatch):
                 assert run_checks(make_params(m, n, d), jobs=jobs) == baseline
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
+@needs_fork
 def test_jobs_are_clamped(monkeypatch):
-    requested = []
+    forks = []
+    true_fork = os.fork
 
-    class InProcessPool:
-        """Records the pool it was asked for and runs it in this process."""
+    def counted_fork():
+        forks.append(os.getpid())
+        return true_fork()
 
-        def __init__(self, max_workers, mp_context):
-            requested.append((max_workers, mp_context.get_start_method()))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     # plenty of CPUs, so the path count is the binding clamp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     baseline = run_checks(make_params(3, 2, 1))
+    assert forks == []
     assert run_checks(make_params(3, 2, 1), jobs=10**6) == baseline
-    assert requested == [(2, "fork")]  # one worker per path
+    assert len(forks) == 1  # one worker per path, and this process runs the last
 
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    # three CPUs bind at (7,5,1), 66 paths: two children and this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    params = make_params(7, 5, 1)
+    assert run_checks(params, jobs=10**6) == run_checks(params)
+    assert len(forks) == 3
+
+    monkeypatch.delattr(os, "fork")
     assert run_checks(make_params(3, 2, 1), jobs=10**6) == baseline
-    assert len(requested) == 1  # no fork, no pool
+    assert len(forks) == 3  # no fork: the pass runs serially
+
+
+def _two_cpus(monkeypatch):
+    """Two workers for jobs=2, also on a single CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def _failing_on(monkeypatch, texts, failure):
+    """Make area_rank_formula call failure(word) on the paths in texts."""
+    true_formula = sweeplab.stats.area_rank_formula
+
+    def formula(word):
+        if word.text in texts:
+            failure(word)
+        return true_formula(word)
+
+    monkeypatch.setattr(sweeplab.stats, "area_rank_formula", formula)
+
+
+def _raise_value_error(word):
+    raise ValueError(f"no formula for {word.text}")
+
+
+@needs_fork
+@pytest.mark.parametrize("last_range_too", [False, True])
+def test_a_child_range_exception_is_raised_as_with_one_job(monkeypatch, last_range_too):
+    _two_cpus(monkeypatch)
+    words = all_dyck(7, 5, 1)
+    # words[3] is in the child's range; words[-2] in the caller's, which
+    # would raise first if the caller did not join the child before raising
+    texts = {words[3].text, words[-2].text} if last_range_too else {words[3].text}
+    _failing_on(monkeypatch, texts, _raise_value_error)
+    params = make_params(7, 5, 1)
+    with pytest.raises(ValueError) as serial:
+        run_checks(params)
+    with pytest.raises(ValueError) as parallel:
+        run_checks(params, jobs=2)
+    assert str(parallel.value) == str(serial.value) == f"no formula for {words[3].text}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_child_that_exits_without_a_result_raises_runtime_error(monkeypatch):
+    _two_cpus(monkeypatch)
+    words = all_dyck(7, 5, 1)
+    _failing_on(monkeypatch, {words[3].text}, lambda word: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"paths \[0, 33\) .*\(exit status 3\)"):
+        run_checks(make_params(7, 5, 1), jobs=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_an_exception_in_the_callers_range_leaves_no_child(monkeypatch, error):
+    _two_cpus(monkeypatch)
+    caller = os.getpid()
+    words = all_dyck(7, 5, 1)
+
+    def failure(word):
+        if os.getpid() == caller:
+            raise error(word.text)
+
+    # the caller's first path raises; the child stops on its first path,
+    # for good on KeyboardInterrupt, which kills it, and for half a second
+    # otherwise, so that the caller joins it before raising
+    _failing_on(monkeypatch, {words[33].text}, failure)
+    true_valid_moves = sweeplab.recursion.valid_moves
+
+    def valid_moves(word):
+        if os.getpid() != caller and word == words[0]:
+            time.sleep(60 if error is KeyboardInterrupt else 0.5)
+        return true_valid_moves(word)
+
+    monkeypatch.setattr(sweeplab.recursion, "valid_moves", valid_moves)
+    started = time.monotonic()
+    with pytest.raises(error, match=words[33].text):
+        run_checks(make_params(7, 5, 1), jobs=2)
+    assert time.monotonic() - started < 30  # the sleeping child was killed
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
@@ -105,15 +184,24 @@ def test_non_positive_jobs_are_refused_before_any_work(jobs, monkeypatch):
 
 
 def test_import_does_not_load_multiprocessing():
+    # render loads only for the render command; jobs > 1 forks with no pool
+    script = (
+        "import os, sys, sweeplab, sweeplab.cli\n"
+        "unwanted = ('multiprocessing', 'concurrent.futures', 'sweeplab.render')\n"
+        "print([name for name in unwanted if name in sys.modules])\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "results = sweeplab.run_checks(sweeplab.make_params(7, 5, 1), jobs=2)\n"
+        "assert all(result.passed for result in results)\n"
+        "print([name for name in unwanted[:2] if name in sys.modules])\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sweeplab, sweeplab.cli; print('multiprocessing' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=60,
         env=subprocess_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n"), proc.stderr
 
 
 def test_checked_volumes(p321, monkeypatch):
@@ -244,9 +332,7 @@ def test_non_dyck_image_of_a_swapped_word_is_recorded(monkeypatch, capsys):
     assert "FAIL area-recursion: " in capsys.readouterr().out
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
+@needs_fork
 def test_last_range_runs_to_the_end_of_the_enumeration(monkeypatch):
     true_enumerate = sweeplab.paths.enumerate_dyck
 
