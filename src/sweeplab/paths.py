@@ -19,12 +19,12 @@ and start rank in two lists that it changes in place and yields after
 every path, with the first index it rewrote since its previous yield and
 a buffer that holds the path's sweep image as a counting sort by start
 rank, kept up to date step by step as the lists change; `enumerate_dyck`
-copies the lists into a word with its ranks and ignores the buffer.  The
-consumers that need no word read the walk directly: the unsweep table in
-`sweeping`, which reads the image off the buffer, and `stats._walk_counts`,
-whose running sums of area and dinv feed `sweeplab enumerate` (with the
-buffer's image) and `stats.joint_distribution` (`sweeplab table`) and
-recount each path only from that index on.  They check no path, since the
+joins the letters into a word, hands it a copy of the ranks and ignores
+the buffer.  The consumers that need no word read the walk directly: the
+unsweep table in `sweeping`, which reads the image off the buffer, and
+`stats._walk_counts`, whose running sums of area and dinv feed `sweeplab
+enumerate` (with the buffer's image) and `stats.joint_distribution`
+(`sweeplab table`) and recount each path only from that index on.  They check no path, since the
 walk's pruning yields only Dyck paths with dn North and dm East letters.
 Any other word (a sweep image, a parsed word) computes its ranks on first
 use, as a running sum (`itertools.accumulate`) of the step each letter
@@ -103,18 +103,19 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
 
 @dataclass(frozen=True)
 class StepWord:
-    """An immutable word of North/East steps with its parameters; its start
-    ranks are computed once, on first use, unless its builder handed them
-    over (see hand_over_ranks)."""
+    """An immutable word of North/East steps with its parameters.  `steps`
+    is the word as one str of N and E letters, which `text` returns as it
+    is; its start ranks are computed once, on first use, unless its builder
+    handed them over (see hand_over_ranks)."""
 
-    steps: tuple[str, ...]
+    steps: str
     params: Params
 
     def __post_init__(self):
         steps, params = self.steps, self.params
-        if type(steps) is not tuple:
+        if type(steps) is not str:
             raise BadLetter(
-                f"steps must be a tuple of N and E letters, got {type(steps).__name__}"
+                f"steps must be a str of N and E letters, got {type(steps).__name__}"
             )
         # every word is recounted, images and swapped words too: a sweep
         # order that is no permutation is caught only here
@@ -127,7 +128,7 @@ class StepWord:
 
     @property
     def text(self) -> str:
-        return "".join(self.steps)
+        return self.steps
 
     def __str__(self) -> str:
         return self.text
@@ -165,13 +166,11 @@ def parse_word(text: str, params: Params) -> StepWord:
     >>> parse_word("SWSWW", make_params(3, 2)).text
     'NENEE'
     """
-    steps = []
-    for ch in text:
-        try:
-            steps.append(_ALPHABET[ch])
-        except KeyError:
-            raise BadLetter(f"letter {ch!r} is not one of N, E, S, W") from None
-    return StepWord(tuple(steps), params)
+    try:
+        steps = "".join(map(_ALPHABET.__getitem__, text))
+    except KeyError as exc:
+        raise BadLetter(f"letter {exc.args[0]!r} is not one of N, E, S, W") from None
+    return StepWord(steps, params)
 
 
 def hand_over_ranks(word: StepWord, ranks: tuple[int, ...]) -> StepWord:
@@ -239,7 +238,7 @@ def enumerate_dyck(params: Params, limit: int | None = None):
     """
     check_step_limit(params, limit)
     return (
-        hand_over_ranks(StepWord(tuple(steps), params), tuple(ranks))
+        hand_over_ranks(StepWord("".join(steps), params), tuple(ranks))
         for steps, ranks, _, _ in _walk(params)
     )
 
@@ -350,13 +349,12 @@ def base_path(params: Params) -> StepWord:
         else:
             steps.append(NORTH)
             rank += m
-    return StepWord(tuple(steps), params)
+    return StepWord("".join(steps), params)
 
 
 def corner_path(params: Params) -> StepWord:
     """The maximum-area path: all North steps, then all East steps."""
-    steps = (NORTH,) * params.north_count + (EAST,) * params.east_count
-    return StepWord(steps, params)
+    return StepWord(NORTH * params.north_count + EAST * params.east_count, params)
 
 
 def south_end_ranks(word: StepWord) -> tuple[int, ...]:

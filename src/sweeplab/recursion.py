@@ -121,14 +121,13 @@ def _check_move(word: StepWord, move: RemovalMove) -> tuple[int, int]:
     return p, k
 
 
-def _swap(word: StepWord, p: int, k: int) -> tuple[tuple[str, ...], tuple[int, ...]]:
+def _swap(word: StepWord, p: int, k: int) -> tuple[str, tuple[int, ...]]:
     """The letters and start ranks of `word` with the North-East pair at p
     swapped: the ranks are the word's, except that the North step now at
     column p+1 starts at k-n.  The move is not checked here."""
-    steps, ranks = list(word.steps), list(start_ranks(word))
-    steps[p - 1], steps[p] = EAST, NORTH
+    steps, ranks = word.steps, list(start_ranks(word))
     ranks[p] = k - word.params.n
-    return tuple(steps), tuple(ranks)
+    return steps[:p - 1] + EAST + NORTH + steps[p + 1:], tuple(ranks)
 
 
 def apply_move(word: StepWord, move: RemovalMove) -> StepWord:

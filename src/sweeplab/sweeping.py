@@ -80,7 +80,7 @@ def sweep(word: StepWord) -> StepWord:
     'NNEEE'
     """
     steps = word.steps
-    return StepWord(tuple([steps[c - 1] for c in sweep_order(word)]), word.params)
+    return StepWord("".join([steps[c - 1] for c in sweep_order(word)]), word.params)
 
 
 def image_start_rank(word: StepWord, position_in_sweep: int) -> int:
@@ -214,6 +214,6 @@ def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     check_step_limit(image.params, limit)  # even on a cache hit
     table = _inverse_table(image.params)
     try:
-        return StepWord(tuple(table[image.text]), image.params)
+        return StepWord(table[image.text], image.params)
     except KeyError:
         raise NotInImage(f"no sweep preimage recorded for {image.text}") from None

@@ -15,10 +15,11 @@ fails `area-formula` with formula=undefined.
 
 All checks read one streaming pass over the enumeration; bijectivity and
 the base case read the (word, image) texts and the area-0 paths that the
-pass returns, and no list of the paths is held.  One helper gives a word's
-image, dinv and image area, whether the word is reached as a path or
-first as the swapped word of another path's removal move, and keeps them
-until the path is reached; so each word is swept and its statistics
+pass returns, and no list of the paths is held; bijectivity also
+compares the pass's path count with count_dyck.  One helper gives a
+word's image, dinv and image area, whether the word is reached as a path
+or first as the swapped word of another path's removal move, and keeps
+them until the path is reached; so each word is swept and its statistics
 counted once per run (once per worker with jobs > 1).  A swapped word
 whose image is not Dyck fails the area recursion of that move.  Each move
 builds one swapped word, in apply_move, which inherits all start ranks but
@@ -26,15 +27,16 @@ one from its path; rank_difference_check swaps the move's letters and
 ranks again but builds no word.  Each move reader checks the move, and its
 band counts are counted once and give both predicted deltas.
 
-With jobs > 1 the pass is split into contiguous ranges of the
-enumeration, with no process pool: the calling process forks one child
-per range but the last, runs the last range itself, and then joins the
+The pass is split into contiguous ranges of the enumeration, one per
+worker, with no process pool: the calling process forks one child per
+range but the last, runs the last range itself, and then joins the
 children in range order.  Each child answers through a pipe, with its
-pickled return or the exception it raised.  `os.fork` is required, not
-merely a default: a forked child inherits the caller's modules as they
-are, monkeypatches included, where a freshly started interpreter would
-re-import and check the unpatched library.  Where `os.fork` is
-unavailable the pass runs serially.
+pickled return or the exception it raised.  One worker is the one-range
+case: no fork, no pipe, and neither pickle nor signal is loaded.
+`os.fork` is required, not merely a default: a forked child inherits the
+caller's modules as they are, monkeypatches included, where a freshly
+started interpreter would re-import and check the unpatched library.
+Where `os.fork` is unavailable there is one worker.
 """
 
 from __future__ import annotations
@@ -78,29 +80,27 @@ def _word_failures(params, limit, lo, hi):
     # entry is deleted when that path is reached.
     direct: dict[str, tuple[paths.StepWord, int, int | None]] = {}
 
-    def word_stats(word, text):
-        """(image, dinv, image area) of a path or a swapped word whose text
-        is `text`, the area None when the image is not Dyck; each word is
-        swept once."""
-        known = direct.get(text)
+    def word_stats(word):
+        """(image, dinv, image area) of a path or a swapped word, the area
+        None when the image is not Dyck; each word is swept once."""
+        known = direct.get(word.text)
         if known is None:
             image = sweeping.sweep(word)
             image_area = stats.area_cells(image) if paths.is_dyck(image) else None
-            known = direct[text] = (image, stats.dinv_pairs(word), image_area)
+            known = direct[word.text] = (image, stats.dinv_pairs(word), image_area)
         return known
 
     for word in itertools.islice(paths.enumerate_dyck(params, limit), lo, hi):
-        text = word.text  # joined once per path: the property joins on each read
         # counted and recorded before the image check, which skips the rest
         # of the word
         moves = recursion.valid_moves(word)
         move_total += len(moves)
-        image, dinv, image_area = word_stats(word, text)
-        del direct[text]
-        pairs.append((text, image.text))
+        image, dinv, image_area = word_stats(word)
+        del direct[word.text]
+        pairs.append((word.text, image.text))
         area = stats.area_cells(word)
         if area == 0:
-            zero_area.append(text)
+            zero_area.append(word.text)
         if image_area is None:
             fails["image-is-dyck"].append(f"word={word.text} image={image.text}")
             continue
@@ -138,7 +138,7 @@ def _word_failures(params, limit, lo, hi):
             fails["move-existence"].append(f"word={word.text} area={area}")
         for move in moves:
             swapped = recursion.apply_move(word, move)
-            _, swapped_dinv, swapped_image_area = word_stats(swapped, swapped.text)
+            _, swapped_dinv, swapped_image_area = word_stats(swapped)
             counts = recursion.region_counts(word, move)
             # "undefined" when the swapped image is not Dyck: no delta equals it
             direct_area = ("undefined" if swapped_image_area is None
@@ -222,10 +222,10 @@ def _join(children) -> list:
     type and message, before any later child is waited for; a child that
     exited without a complete answer raises RuntimeError.
     """
-    import pickle
-
     partials = []
     while children:
+        import pickle  # in the loop: with no child, pickle is never loaded
+
         lo, hi, pid, pipe = children[0]
         with pipe:
             payload = pipe.read()
@@ -252,16 +252,15 @@ def _fork_join(params, limit, ranges) -> list:
 
     One forked child runs each range but the last, which this process runs
     itself meanwhile: the last range is the lightest, since the early paths
-    of the enumeration carry more area and more moves.  The children are
+    of the enumeration carry more area and more moves.  So a single range
+    forks nothing and loads neither pickle nor signal.  The children are
     then joined in range order, so the exception raised is the earliest
-    range's, as with jobs=1: when the last range raises an Exception, the
-    children are joined first, and its own exception propagates only if
-    none of theirs does.  However this call ends, no child outlives it: on
-    KeyboardInterrupt, say, each child not yet joined is killed and waited
-    for before the exception propagates.
+    range's, as with one range: when the last range raises an Exception,
+    the children are joined first, and its own exception propagates only
+    if none of theirs does.  However this call ends, no child outlives it:
+    on KeyboardInterrupt, say, each child not yet joined is killed and
+    waited for before the exception propagates.
     """
-    import signal
-
     children = []  # (lo, hi, pid, read end) of each child not yet waited for
     try:
         for lo, hi in ranges[:-1]:
@@ -274,6 +273,8 @@ def _fork_join(params, limit, ranges) -> list:
         return [*_join(children), last]
     finally:
         for _, _, pid, pipe in children:
+            import signal  # in the loop, as pickle is in _join
+
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -335,32 +336,24 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
 
     One pass enumerates, sweeps and checks each path, and no list of the
     paths is kept: bijectivity and the base case read the (word, image)
-    texts and the area-0 paths that the pass returns.  With jobs > 1 the
-    pass is split into contiguous index ranges sized from count_dyck, and
-    the last range is left open, so it runs to the end of the enumeration.
-    No process pool runs them: this process forks one child per range but
-    the last, runs the last range itself, and reads each child's answer
-    from a pipe, in range order (see _fork_join).  The returns are
-    concatenated in index order, so the outcome never depends on
-    scheduling, and an exception raised in a child's range is raised here
-    with its own type and message, the earliest range's first.  The worker
-    count is jobs clamped to the available CPUs and to the path count; with
-    one worker, or without `os.fork`, the pass runs in this process.  A fork
-    copies only the calling thread, so pass jobs > 1 only from a process
-    that runs no other threads.  Raises ValueError, before any work, when
-    jobs or an explicit limit is not a positive int (check_jobs and
-    paths.check_step_limit).
+    texts and the area-0 paths that the pass returns, and bijectivity
+    fails when the pass saw other than count_dyck paths.  The pass runs
+    as one contiguous index range per worker, sized from count_dyck, the
+    last left open to the end of the enumeration (see _fork_join).  The
+    returns are concatenated in index order, so the outcome never depends
+    on scheduling.  The worker count is jobs clamped to the available CPUs
+    and to the path count, and 1 without `os.fork`.  A fork copies only
+    the calling thread, so pass jobs > 1 only from a process that runs no
+    other threads.  Raises ValueError, before any work, when jobs or an explicit
+    limit is not a positive int (check_jobs and paths.check_step_limit).
     """
     check_jobs(jobs)
     paths.check_step_limit(params, limit)  # before any work
     path_count = paths.count_dyck(params)
     workers = _worker_count(jobs, path_count)
 
-    if workers > 1:
-        starts = [path_count * i // workers for i in range(workers)]
-        partials = _fork_join(params, limit, list(zip(starts, starts[1:] + [None])))
-    else:
-        partials = [_word_failures(params, limit, 0, None)]
+    starts = [path_count * i // workers for i in range(workers)]
+    partials = _fork_join(params, limit, list(zip(starts, starts[1:] + [None])))
 
     # ranges are contiguous, so concatenation keeps enumeration order
     part_fails, part_moves, part_pairs, part_zero_area = zip(*partials)
@@ -373,6 +366,10 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
         params, list(itertools.chain.from_iterable(part_zero_area))
     )
     path_total = sum(map(len, part_pairs))  # one pair per path
+    if path_total != path_count:
+        fails["bijectivity"].append(
+            f"the pass saw {path_total} paths, count_dyck gives {path_count}"
+        )
     move_total = sum(part_moves)
     checked = dict.fromkeys(CHECK_NAMES, path_total)
     for name in ("rank-difference", "area-recursion", "dinv-recursion", "cross-identities"):

@@ -45,7 +45,7 @@ def arrangements(m: int, n: int, d: int):
         steps = ["E"] * length
         for i in norths:
             steps[i] = "N"
-        yield StepWord(tuple(steps), params)
+        yield StepWord("".join(steps), params)
 
 
 def row_segments(diagram) -> dict[int, list[tuple[int, str]]]:

@@ -56,3 +56,15 @@ def test_no_module_rebinds_a_global():
         if isinstance(node, ast.Global)
     ]
     assert offenders == []
+
+
+def test_no_module_asserts():
+    # python -O strips an assert statement, and with it the check; every
+    # library check raises a named error instead
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -46,7 +46,8 @@ from conftest import rebuilt
 
 SETS = [(7, 5, 1), (5, 3, 2), (3, 2, 3), (2, 1, 4)]
 
-# (module, function, text, its replacement, the checks that must fail)
+# (module, function, text, its replacement, the checks that must fail[, a
+# message one of them must record])
 CHECKED_MUTANTS = [
     (stats, "dinv_pairs", "bisect_left(seen, rank)", "bisect_right(seen, rank)",
      {"dinv-formulations", "dinv-recursion", "dinv-sweeps-to-area"}),
@@ -68,6 +69,12 @@ CHECKED_MUTANTS = [
      {"area-recursion", "cross-identities"}),
     (recursion, "region_counts", "k < r <= k + m", "k <= r <= k + m",
      {"area-recursion", "dinv-recursion"}),
+    # a count that leaves out the rank-0 vertices, the end included
+    (paths, "count_dyck", "m * y - n * x < 0", "m * y - n * x <= 0",
+     {"bijectivity"}, "the pass saw 66 paths, count_dyck gives 0"),
+    # a walk that backtracks past the North steps of rank n
+    (paths, "_walk", "ranks[pos] < n", "ranks[pos] <= n",
+     {"bijectivity"}, "the pass saw 476 paths, count_dyck gives 525"),
 ]
 
 
@@ -78,12 +85,16 @@ def _entry_id(entry):
 
 @pytest.mark.parametrize("entry", CHECKED_MUTANTS, ids=_entry_id)
 def test_run_checks_fail_the_mutant(monkeypatch, entry):
-    module, name, old, new, checks = entry
+    module, name, old, new, checks, *message = entry
     monkeypatch.setattr(module, name, rebuilt(module, name, old, new))
-    failed = set()
+    failed, messages = set(), set()
     for params in SETS:
-        failed.update(r.name for r in run_checks(make_params(*params)) if not r.passed)
+        for result in run_checks(make_params(*params)):
+            if not result.passed:
+                failed.add(result.name)
+                messages.update(result.failures)
     assert checks <= failed
+    assert set(message) <= messages
 
 
 def _raises(call, error) -> bool:

@@ -59,7 +59,7 @@ class TestParseWord:
     def test_plain(self, p321):
         word = parse_word("NENEE", p321)
         assert word.text == "NENEE"
-        assert word.steps[:2] == ("N", "E")
+        assert word.steps[:2] == "NE"
 
     def test_synonyms(self, p321):
         assert parse_word("SWSWW", p321) == parse_word("NENEE", p321)
@@ -72,7 +72,7 @@ class TestParseWord:
         with pytest.raises(BadLetter):
             parse_word("NXNEE", p321)
 
-    @pytest.mark.parametrize("steps", [("N", "X", "N", "E", "E"), ("N", "N", "E", "E", "X")])
+    @pytest.mark.parametrize("steps", ["NXNEE", "NNEEX"])
     def test_step_word_rejects_a_letter_on_first_use(self, p321, steps):
         # the letter counts take any non-North letter as East; the ranks,
         # which every operation reads, look up each letter, the last too
@@ -80,10 +80,12 @@ class TestParseWord:
         with pytest.raises(BadLetter):
             start_ranks(word)
 
-    def test_step_word_needs_a_tuple(self, p321):
-        # a str would pass the letter counts but never equal the parsed word
+    def test_step_word_needs_a_str(self, p321):
+        # a tuple or a list would pass the letter counts but never equal the
+        # parsed word: a word has one representation
+        assert StepWord("NENEE", p321) == parse_word("NENEE", p321)
         with pytest.raises(BadLetter):
-            StepWord("NENEE", p321)
+            StepWord(("N", "E", "N", "E", "E"), p321)
         with pytest.raises(BadLetter):
             StepWord(["N", "E", "N", "E", "E"], p321)
 
@@ -93,16 +95,16 @@ class TestParseWord:
             parse_word("NNEE", p321)
         assert str(exc.value) == "word needs 2 N and 3 E letters, got 2 N and 2 E"
         with pytest.raises(BadCounts) as exc:
-            StepWord(("N", "N", "N", "E", "E"), p321)
+            StepWord("NNNEE", p321)
         assert str(exc.value) == "word needs 2 N and 3 E letters, got 3 N and 2 E"
         with pytest.raises(BadLetter) as exc:
-            StepWord("NENEE", p321)
-        assert str(exc.value) == "steps must be a tuple of N and E letters, got str"
+            StepWord(("N", "E", "N", "E", "E"), p321)
+        assert str(exc.value) == "steps must be a str of N and E letters, got tuple"
         with pytest.raises(BadLetter) as exc:
             parse_word("NXNEE", p321)
         assert str(exc.value) == "letter 'X' is not one of N, E, S, W"
         with pytest.raises(BadLetter) as exc:
-            start_ranks(StepWord(("N", "X", "N", "E", "E"), p321))
+            start_ranks(StepWord("NXNEE", p321))
         assert str(exc.value) == "letter 'X' is not N or E"
 
 
@@ -144,7 +146,7 @@ class TestRanks:
     def test_walk_yields_the_letters_and_ranks_of_each_path(self, m, n, d):
         # the walk yields the same two lists each time, so each is copied
         params = make_params(m, n, d)
-        walked = [(tuple(steps), tuple(ranks)) for steps, ranks, _, _ in _walk(params)]
+        walked = [("".join(steps), tuple(ranks)) for steps, ranks, _, _ in _walk(params)]
         assert walked == [(w.steps, start_ranks(w)) for w in enumerate_dyck(params)]
 
     @pytest.mark.parametrize("m,n,d", PARAM_SETS)
@@ -156,7 +158,7 @@ class TestRanks:
             assert set(steps) <= {"N", "E"}
             assert steps.count("N") == d * n and steps.count("E") == d * m
             assert min(ranks) >= 0
-            assert tuple(ranks) == start_ranks(StepWord(tuple(steps), params))
+            assert tuple(ranks) == start_ranks(StepWord("".join(steps), params))
 
     @pytest.mark.parametrize("m,n,d", WIDE_SETS)
     def test_walk_yields_the_first_letter_it_rewrote(self, m, n, d):

@@ -84,7 +84,7 @@ def arrangements(draw):
     m, n, d = draw(long_params_pool)
     params = make_params(m, n, d)
     letters = ["N"] * params.north_count + ["E"] * params.east_count
-    return StepWord(tuple(draw(st.permutations(letters))), params)
+    return StepWord("".join(draw(st.permutations(letters))), params)
 
 
 def ranks_by_loop(word):

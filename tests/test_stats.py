@@ -198,7 +198,7 @@ class TestWalkCounts:
         # path by path, with d > 1 and its rank ties included: the word
         # kernels are the reference for the sums kept along the walk
         walked = [
-            (tuple(steps), area, dinv)
+            ("".join(steps), area, dinv)
             for steps, _, area, dinv in _walk_counts(make_params(m, n, d))
         ]
         assert walked == [

@@ -1,4 +1,5 @@
 import collections
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from sweeplab import (
     apply_move,
     base_path,
     corner_path,
+    count_dyck,
     dinv_recursion_delta,
     make_params,
     parse_word,
@@ -40,6 +42,25 @@ def test_all_checks_pass(m, n, d):
     for result in run_checks(make_params(m, n, d)):
         assert result.passed, (result.name, result.failures[:1])
         assert result.checked > 0
+
+
+def test_every_set_of_up_to_16_steps_passes():
+    # every co-prime (m, n) and d with d(m+n) <= 16, each path counted by
+    # count_dyck and by the pass
+    sets = [
+        make_params(m, n, d)
+        for m in range(1, 16)
+        for n in range(1, 16)
+        for d in range(1, 9)
+        if math.gcd(m, n) == 1 and d * (m + n) <= 16
+    ]
+    seen = counted = 0
+    for params in sets:
+        results = run_checks(params)
+        assert [r.name for r in results if not r.passed] == [], params
+        seen += results[0].checked  # image-is-dyck: one per path
+        counted += count_dyck(params)
+    assert (len(sets), seen, counted) == (120, 10155, 10155)
 
 
 def test_jobs_give_identical_results(monkeypatch):
@@ -184,15 +205,21 @@ def test_non_positive_jobs_are_refused_before_any_work(jobs, monkeypatch):
 
 
 def test_import_does_not_load_multiprocessing():
-    # render loads only for the render command; jobs > 1 forks with no pool
+    # render loads only for the render command; jobs > 1 forks with no
+    # pool, and jobs=1 forks nothing and loads no fork machinery
     script = (
         "import os, sys, sweeplab, sweeplab.cli\n"
         "unwanted = ('multiprocessing', 'concurrent.futures', 'sweeplab.render')\n"
         "print([name for name in unwanted if name in sys.modules])\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "results = sweeplab.run_checks(sweeplab.make_params(7, 5, 1), jobs=1)\n"
+        "assert all(result.passed for result in results)\n"
+        "print([name for name in ('pickle', 'signal') if name in sys.modules], forks)\n"
         "results = sweeplab.run_checks(sweeplab.make_params(7, 5, 1), jobs=2)\n"
         "assert all(result.passed for result in results)\n"
-        "print([name for name in unwanted[:2] if name in sys.modules])\n"
+        "print([name for name in unwanted[:2] if name in sys.modules], forks)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -201,7 +228,7 @@ def test_import_does_not_load_multiprocessing():
         timeout=60,
         env=subprocess_env(),
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n[] []\n[] [1]\n"), proc.stderr
 
 
 def test_checked_volumes(p321, monkeypatch):
@@ -351,6 +378,7 @@ def test_last_range_runs_to_the_end_of_the_enumeration(monkeypatch):
     base, image = base_path(params).text, sweeplab.sweeping.sweep(base_path(params)).text
     assert by_name["bijectivity"].failures == (
         f"words {base} and {base} both map to {image}",
+        "the pass saw 67 paths, count_dyck gives 66",
     )
     assert by_name["base-case"].failures == (
         f"area-0 paths {[base, base]} instead of [{base}]",
