@@ -308,26 +308,21 @@ def count_dyck(params: Params) -> int:
     """The number of (dm,dn)-Dyck paths, by dynamic programming.
 
     Counts monotone lattice paths through the vertices (x, y) with
-    m*y - n*x >= 0; no enumeration, so no size limit.
+    m*y - n*x >= 0, one column x at a time in a single row of counts; no
+    enumeration, so no size limit.
 
     >>> count_dyck(make_params(7, 5))
     66
     """
     m, n = params.m, params.n
-    dm, dn = params.east_count, params.north_count
-    ways = [[0] * (dn + 1) for _ in range(dm + 1)]
-    ways[0][0] = 1
-    for x in range(dm + 1):
-        for y in range(dn + 1):
-            if x == y == 0 or m * y - n * x < 0:
-                continue
-            total = 0
-            if x > 0:
-                total += ways[x - 1][y]
-            if y > 0:
-                total += ways[x][y - 1]
-            ways[x][y] = total
-    return ways[dm][dn]
+    ways = [1] + [0] * params.north_count  # ways[y]: paths to (x, y), column x
+    for x in range(params.east_count + 1):
+        for y in range(len(ways)):
+            if m * y - n * x < 0:
+                ways[y] = 0
+            elif y:
+                ways[y] += ways[y - 1]
+    return ways[-1]
 
 
 def base_path(params: Params) -> StepWord:

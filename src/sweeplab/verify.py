@@ -13,23 +13,20 @@ monkeypatch) is caught and reported rather than silently trusted.  So is
 one that makes the rank-sum area formula leave a remainder: that path
 fails `area-formula` with formula=undefined.
 
-All checks read one streaming pass over the enumeration; bijectivity and
-the base case read the (word, image) texts and the area-0 paths that the
-pass returns, and no list of the paths is held; bijectivity also
-compares the pass's path count with count_dyck.  One helper gives a
-word's image, dinv and image area, whether the word is reached as a path
-or first as the swapped word of another path's removal move, and keeps
-them until the path is reached; so each word is swept and its statistics
-counted once per run (once per worker with jobs > 1).  A swapped word
-whose image is not Dyck fails the area recursion of that move.  Each move
-builds one swapped word, in apply_move, which inherits all start ranks but
-one from its path; rank_difference_check swaps the move's letters and
-ranks again but builds no word.  Each move reader checks the move, and its
-band counts are counted once and give both predicted deltas.
+run_checks makes one enumeration per run, and the per-path checks read
+it as one stream of words: bijectivity and the base case read the (word,
+image) texts and the area-0 paths that the pass returns, and no list of
+the paths is held; bijectivity also compares the pass's path count with
+count_dyck.  One helper gives a word's image, dinv and image area,
+whether the word is reached as a path or first as the swapped word of
+another path's removal move, and keeps them until the path is reached;
+so each word is swept and its statistics counted once per run (once per
+worker with jobs > 1).  A swapped word whose image is not Dyck fails the
+area recursion of that move.
 
 The pass is split into contiguous ranges of the enumeration, one per
 worker, with no process pool: the calling process forks one child per
-range but the last, runs the last range itself, and then joins the
+range but the first, checks the first range itself, and then joins the
 children in range order.  Each child answers through a pipe, with its
 pickled return or the exception it raised.  One worker is the one-range
 case: no fork, no pipe, and neither pickle nor signal is loaded.
@@ -61,10 +58,8 @@ class CheckResult:
         return not self.failures
 
 
-def _word_failures(params, limit, lo, hi):
-    """The per-path checks on enumeration indices [lo, hi), or [lo, end)
-    when hi is None; the paths are enumerated here, so that no word
-    crosses a process boundary.
+def _word_failures(words):
+    """The per-path checks on `words`, Dyck paths in enumeration order.
 
     Returns ({check name: [message, ...]}, valid moves checked, [(word
     text, image text), ...] of every path in enumeration order, [text of
@@ -90,7 +85,7 @@ def _word_failures(params, limit, lo, hi):
             known = direct[word.text] = (image, stats.dinv_pairs(word), image_area)
         return known
 
-    for word in itertools.islice(paths.enumerate_dyck(params, limit), lo, hi):
+    for word in words:
         # counted and recorded before the image check, which skips the rest
         # of the word
         moves = recursion.valid_moves(word)
@@ -184,10 +179,10 @@ def _worker_count(jobs: int, path_count: int) -> int:
     return min(jobs, cpus, path_count)
 
 
-def _fork_range(params, limit, lo, hi):
-    """Fork a child that runs _word_failures on [lo, hi) and pickles
-    (True, its return) or (False, the exception it raised) into a pipe;
-    returns the child's pid and the pipe's read end, opened.
+def _fork_range(words, lo, hi):
+    """Fork a child that runs _word_failures on paths [lo, hi) of its own
+    copy of `words` and pickles its return, or the exception it raised,
+    into a pipe; returns the child's pid and the pipe's read end, opened.
 
     The child leaves through os._exit, so it never returns into the
     caller's stack and never flushes the stdio buffers it inherited; it
@@ -202,9 +197,9 @@ def _fork_range(params, limit, lo, hi):
         try:
             os.close(read_fd)
             try:
-                answer = (True, _word_failures(params, limit, lo, hi))
+                answer = _word_failures(itertools.islice(words, lo, hi))
             except BaseException as exc:
-                answer = (False, exc)
+                answer = exc
             with open(write_fd, "wb") as pipe:
                 pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -233,44 +228,40 @@ def _join(children) -> list:
         del children[0]
         code = os.waitstatus_to_exitcode(status)
         try:
-            ok, value = pickle.loads(payload)
+            answer = pickle.loads(payload)
         except Exception:  # no answer, or one cut short
-            ok = None
-        if code or ok is None:
+            answer = None
+        if code or answer is None:
             ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
             raise RuntimeError(
                 f"the worker checking paths [{lo}, {hi}) gave no complete result ({ended})"
             )
-        if not ok:
-            raise value from None
-        partials.append(value)
+        if isinstance(answer, BaseException):
+            raise answer from None
+        partials.append(answer)
     return partials
 
 
-def _fork_join(params, limit, ranges) -> list:
-    """The _word_failures returns of the contiguous index ranges, in order.
+def _fork_join(words, ranges) -> list:
+    """The _word_failures returns of the contiguous index ranges of
+    `words`, an enumeration not yet started, in order.
 
-    One forked child runs each range but the last, which this process runs
-    itself meanwhile: the last range is the lightest, since the early paths
-    of the enumeration carry more area and more moves.  So a single range
-    forks nothing and loads neither pickle nor signal.  The children are
-    then joined in range order, so the exception raised is the earliest
-    range's, as with one range: when the last range raises an Exception,
-    the children are joined first, and its own exception propagates only
-    if none of theirs does.  However this call ends, no child outlives it:
-    on KeyboardInterrupt, say, each child not yet joined is killed and
-    waited for before the exception propagates.
+    One forked child runs each range but the first, on the copy of `words`
+    it inherits, so every child is forked before this process reads
+    `words` for the first range, which it checks itself meanwhile.  So a
+    single range forks nothing and loads neither pickle nor signal.  The
+    children are then joined in range order, and the exception raised is
+    the earliest range's, as with one range.  However this call ends, no
+    child outlives it: on an exception in the first range, or on
+    KeyboardInterrupt, each child not yet joined is killed and waited for
+    before the exception propagates.
     """
     children = []  # (lo, hi, pid, read end) of each child not yet waited for
     try:
-        for lo, hi in ranges[:-1]:
-            children.append((lo, hi, *_fork_range(params, limit, lo, hi)))
-        try:
-            last = _word_failures(params, limit, *ranges[-1])
-        except Exception:
-            _join(children)  # an earlier range's exception comes first
-            raise
-        return [*_join(children), last]
+        for lo, hi in ranges[1:]:
+            children.append((lo, hi, *_fork_range(words, lo, hi)))
+        first = _word_failures(itertools.islice(words, *ranges[0]))
+        return [first, *_join(children)]
     finally:
         for _, _, pid, pipe in children:
             import signal  # in the loop, as pickle is in _join
@@ -334,26 +325,25 @@ def _base_case_failures(params, zero_area) -> list[str]:
 def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run all checks; the result order matches CHECK_NAMES.
 
-    One pass enumerates, sweeps and checks each path, and no list of the
-    paths is kept: bijectivity and the base case read the (word, image)
-    texts and the area-0 paths that the pass returns, and bijectivity
-    fails when the pass saw other than count_dyck paths.  The pass runs
-    as one contiguous index range per worker, sized from count_dyck, the
-    last left open to the end of the enumeration (see _fork_join).  The
-    returns are concatenated in index order, so the outcome never depends
-    on scheduling.  The worker count is jobs clamped to the available CPUs
-    and to the path count, and 1 without `os.fork`.  A fork copies only
-    the calling thread, so pass jobs > 1 only from a process that runs no
-    other threads.  Raises ValueError, before any work, when jobs or an explicit
-    limit is not a positive int (check_jobs and paths.check_step_limit).
+    The enumeration is made once, here, and its paths are checked in one
+    pass, as one contiguous index range per worker, sized from count_dyck,
+    the last left open to the end of the enumeration (see _fork_join).
+    The returns are concatenated in index order, so the outcome never
+    depends on scheduling, and bijectivity fails when the pass saw other
+    than count_dyck paths.  The worker count is jobs clamped to the
+    available CPUs and to the path count, and 1 without `os.fork`.  A fork
+    copies only the calling thread, so pass jobs > 1 only from a process
+    that runs no other threads.  Raises ValueError, before any work, when
+    jobs or an explicit limit is not a positive int (check_jobs, and
+    paths.check_step_limit, which enumerate_dyck calls).
     """
     check_jobs(jobs)
-    paths.check_step_limit(params, limit)  # before any work
+    words = paths.enumerate_dyck(params, limit)  # checks the limit, before any work
     path_count = paths.count_dyck(params)
     workers = _worker_count(jobs, path_count)
 
     starts = [path_count * i // workers for i in range(workers)]
-    partials = _fork_join(params, limit, list(zip(starts, starts[1:] + [None])))
+    partials = _fork_join(words, list(zip(starts, starts[1:] + [None])))
 
     # ranges are contiguous, so concatenation keeps enumeration order
     part_fails, part_moves, part_pairs, part_zero_area = zip(*partials)

@@ -2,6 +2,7 @@ import __future__
 import functools
 import inspect
 import itertools
+import linecache
 import os
 from pathlib import Path
 
@@ -65,12 +66,17 @@ def row_segments(diagram) -> dict[int, list[tuple[int, str]]]:
 def rebuilt(module, name: str, old: str, new: str):
     """`module.name` rebuilt from its source with the one occurrence of
     `old` replaced by `new`.  Its globals are the module's own, so the
-    names it calls resolve as the original's do, patches included."""
+    names it calls resolve as the original's do, patches included.  Its
+    edited source is kept in linecache under a file name of its own, so
+    inspect.getsource and tracebacks read the edit."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1, (name, old)
+    source = source.replace(old, new)
+    filename = f"<rebuilt {module.__name__}.{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     code = compile(
-        source.replace(old, new),
-        module.__file__,
+        source,
+        filename,
         "exec",
         flags=__future__.annotations.compiler_flag,
         dont_inherit=True,

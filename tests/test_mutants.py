@@ -21,8 +21,6 @@ Not in the catalogue, each with its reason:
     `downs[down_hi] <= down_ceiling`: an arrow exactly on the window edge
     adds zero segments.
   - _walk, `pos <= 0`: the first step can never turn East.
-  - count_dyck, `x >= 0` and `y >= 0`: the extra term reads an entry that
-    is still 0.
   - _check_move, `1 < p`: p = 1 always has rank 0 < n, so the move is
     refused anyway; only the InvalidMove message differs.
 """

@@ -40,7 +40,7 @@ SCRIPT_LINES = [
 def test_the_examples_are_found():
     assert len(COMMAND_LINES) == 7
     assert len(_blocks("python")) == 1
-    assert len(SCRIPT_LINES) == 3
+    assert len(SCRIPT_LINES) == 4
 
 
 def test_python_block_runs():

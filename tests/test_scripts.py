@@ -28,6 +28,35 @@ def test_stat_tables():
     assert "DIFFERENT" not in out
 
 
+def test_every_set_of_up_to_16_steps_passes():
+    # every co-prime (m, n) and d with d(m+n) <= 16, each path counted by
+    # the pass and by count_dyck
+    lines = run_script("frontier.py", 16).splitlines()
+    assert len(lines) == 121
+    assert lines[-1] == "total: 120 sets, 10155 paths (count_dyck 10155), 0 failed"
+
+
+def test_frontier_exits_1_when_a_set_fails():
+    code = (
+        "import runpy, sys\n"
+        "import sweeplab.stats as stats\n"
+        "true_dinv = stats.dinv_pairs\n"
+        "stats.dinv_pairs = lambda word: true_dinv(word) + 1\n"
+        "sys.argv = ['frontier.py', '5']\n"
+        f"runpy.run_path({str(SCRIPTS / 'frontier.py')!r}, run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert lines[0] == (
+        "m=1 n=1 d=1: 1 paths (count_dyck 1): "
+        "FAIL dinv-formulations, base-case, dinv-sweeps-to-area"
+    )
+    assert lines[-1] == "total: 10 sets, 13 paths (count_dyck 13), 10 failed"
+
+
 def test_region_survey():
     out = run_script("region_survey.py", 7)
     assert out.splitlines()[-1] == "total: 36/36"

@@ -1,5 +1,4 @@
 import collections
-import math
 import os
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from sweeplab import (
     apply_move,
     base_path,
     corner_path,
-    count_dyck,
     dinv_recursion_delta,
     make_params,
     parse_word,
@@ -42,25 +40,6 @@ def test_all_checks_pass(m, n, d):
     for result in run_checks(make_params(m, n, d)):
         assert result.passed, (result.name, result.failures[:1])
         assert result.checked > 0
-
-
-def test_every_set_of_up_to_16_steps_passes():
-    # every co-prime (m, n) and d with d(m+n) <= 16, each path counted by
-    # count_dyck and by the pass
-    sets = [
-        make_params(m, n, d)
-        for m in range(1, 16)
-        for n in range(1, 16)
-        for d in range(1, 9)
-        if math.gcd(m, n) == 1 and d * (m + n) <= 16
-    ]
-    seen = counted = 0
-    for params in sets:
-        results = run_checks(params)
-        assert [r.name for r in results if not r.passed] == [], params
-        seen += results[0].checked  # image-is-dyck: one per path
-        counted += count_dyck(params)
-    assert (len(sets), seen, counted) == (120, 10155, 10155)
 
 
 def test_jobs_give_identical_results(monkeypatch):
@@ -95,7 +74,7 @@ def test_jobs_are_clamped(monkeypatch):
     baseline = run_checks(make_params(3, 2, 1))
     assert forks == []
     assert run_checks(make_params(3, 2, 1), jobs=10**6) == baseline
-    assert len(forks) == 1  # one worker per path, and this process runs the last
+    assert len(forks) == 1  # one worker per path, and this process runs the first
 
     # three CPUs bind at (7,5,1), 66 paths: two children and this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -131,20 +110,21 @@ def _raise_value_error(word):
 
 
 @needs_fork
-@pytest.mark.parametrize("last_range_too", [False, True])
-def test_a_child_range_exception_is_raised_as_with_one_job(monkeypatch, last_range_too):
+@pytest.mark.parametrize("first_range_too", [False, True])
+def test_a_child_range_exception_is_raised_as_with_one_job(monkeypatch, first_range_too):
     _two_cpus(monkeypatch)
     words = all_dyck(7, 5, 1)
-    # words[3] is in the child's range; words[-2] in the caller's, which
-    # would raise first if the caller did not join the child before raising
-    texts = {words[3].text, words[-2].text} if last_range_too else {words[3].text}
+    # words[-2] is in the child's range; words[3] in the caller's, which
+    # raises first and so must win, as with one job
+    texts = {words[3].text, words[-2].text} if first_range_too else {words[-2].text}
     _failing_on(monkeypatch, texts, _raise_value_error)
     params = make_params(7, 5, 1)
     with pytest.raises(ValueError) as serial:
         run_checks(params)
     with pytest.raises(ValueError) as parallel:
         run_checks(params, jobs=2)
-    assert str(parallel.value) == str(serial.value) == f"no formula for {words[3].text}"
+    first = words[3] if first_range_too else words[-2]
+    assert str(parallel.value) == str(serial.value) == f"no formula for {first.text}"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -153,8 +133,8 @@ def test_a_child_range_exception_is_raised_as_with_one_job(monkeypatch, last_ran
 def test_a_child_that_exits_without_a_result_raises_runtime_error(monkeypatch):
     _two_cpus(monkeypatch)
     words = all_dyck(7, 5, 1)
-    _failing_on(monkeypatch, {words[3].text}, lambda word: os._exit(3))
-    with pytest.raises(RuntimeError, match=r"paths \[0, 33\) .*\(exit status 3\)"):
+    _failing_on(monkeypatch, {words[-2].text}, lambda word: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"paths \[33, None\) .*\(exit status 3\)"):
         run_checks(make_params(7, 5, 1), jobs=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -171,24 +151,38 @@ def test_an_exception_in_the_callers_range_leaves_no_child(monkeypatch, error):
         if os.getpid() == caller:
             raise error(word.text)
 
-    # the caller's first path raises; the child stops on its first path,
-    # for good on KeyboardInterrupt, which kills it, and for half a second
-    # otherwise, so that the caller joins it before raising
-    _failing_on(monkeypatch, {words[33].text}, failure)
+    # the caller's first path raises while the child stops on its first
+    # path for a minute: the caller kills it rather than join it
+    _failing_on(monkeypatch, {words[0].text}, failure)
     true_valid_moves = sweeplab.recursion.valid_moves
 
     def valid_moves(word):
-        if os.getpid() != caller and word == words[0]:
-            time.sleep(60 if error is KeyboardInterrupt else 0.5)
+        if os.getpid() != caller and word == words[33]:
+            time.sleep(60)
         return true_valid_moves(word)
 
     monkeypatch.setattr(sweeplab.recursion, "valid_moves", valid_moves)
     started = time.monotonic()
-    with pytest.raises(error, match=words[33].text):
+    with pytest.raises(error, match=words[0].text):
         run_checks(make_params(7, 5, 1), jobs=2)
     assert time.monotonic() - started < 30  # the sleeping child was killed
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_calling_process_checks_the_step_limit_once(monkeypatch, jobs):
+    _two_cpus(monkeypatch)
+    calls = []
+    true_check = sweeplab.paths.check_step_limit
+
+    def counted_check(params, limit=None):
+        calls.append(limit)  # a child appends to its own copy
+        return true_check(params, limit)
+
+    monkeypatch.setattr(sweeplab.paths, "check_step_limit", counted_check)
+    assert all(result.passed for result in run_checks(make_params(7, 5, 1), jobs=jobs))
+    assert calls == [None]
 
 
 @pytest.mark.parametrize("jobs", [0, -3, True, 2.5])
