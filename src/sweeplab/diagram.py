@@ -16,7 +16,6 @@ segment list is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple
 
@@ -36,8 +35,7 @@ class Arrow(NamedTuple):
     start_rank: int
 
 
-@dataclass(frozen=True)
-class PathDiagram:
+class PathDiagram(NamedTuple):
     params: Params
     arrows: tuple[Arrow, ...]
 

@@ -34,9 +34,9 @@ contributes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (
     BadCounts,
@@ -55,24 +55,29 @@ EAST = "E"
 DEFAULT_STEP_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class Params:
-    """The triple (m, n, d): slope pair and dilation factor.
-
-    m is the rank gained by a North step, n the rank dropped by an East
-    step; the underlying grid is dm wide and dn tall.
-    """
-
+class _ParamsFields(NamedTuple):
     m: int
     n: int
     d: int
 
-    def __post_init__(self):
-        for name, value in (("m", self.m), ("n", self.n), ("d", self.d)):
+
+class Params(_ParamsFields):
+    """The triple (m, n, d): slope pair and dilation factor.
+
+    m is the rank gained by a North step, n the rank dropped by an East
+    step; the underlying grid is dm wide and dn tall.  __new__ checks the
+    triple, when it is built and when it is unpickled.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int, d: int):
+        for name, value in (("m", m), ("n", n), ("d", d)):
             if type(value) is not int or value < 1:
                 raise NonPositive(f"{name} must be a positive integer, got {value!r}")
-        if math.gcd(self.m, self.n) != 1:
-            raise NonCoprime(f"m={self.m} and n={self.n} share a factor")
+        if math.gcd(m, n) != 1:
+            raise NonCoprime(f"m={m} and n={n} share a factor")
+        return tuple.__new__(cls, (m, n, d))
 
     @property
     def east_count(self) -> int:
@@ -101,18 +106,19 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
     return Params(m, n, d)
 
 
-@dataclass(frozen=True)
-class StepWord:
-    """An immutable word of North/East steps with its parameters.  `steps`
-    is the word as one str of N and E letters, which `text` returns as it
-    is; its start ranks are computed once, on first use, unless its builder
-    handed them over (see hand_over_ranks)."""
-
+class _StepWordFields(NamedTuple):
     steps: str
     params: Params
 
-    def __post_init__(self):
-        steps, params = self.steps, self.params
+
+class StepWord(_StepWordFields):
+    """An immutable word of North/East steps with its parameters.  `steps`
+    is the word as one str of N and E letters, which `text` returns as it
+    is and __new__ counts; its start ranks are computed once, on first use,
+    unless its builder handed them over (see hand_over_ranks), and kept in
+    the instance __dict__, so StepWord declares no __slots__."""
+
+    def __new__(cls, steps: str, params: Params):
         if type(steps) is not str:
             raise BadLetter(
                 f"steps must be a str of N and E letters, got {type(steps).__name__}"
@@ -125,6 +131,7 @@ class StepWord:
                 f"word needs {params.north_count} N and {params.east_count} E letters, "
                 f"got {norths} N and {len(steps) - norths} E"
             )
+        return tuple.__new__(cls, (steps, params))
 
     @property
     def text(self) -> str:
@@ -142,7 +149,7 @@ class StepWord:
 
         Every letter, the last one included, is looked up here, so a
         letter other than N and E raises BadLetter on first use; the
-        letter counts of __post_init__ take any non-North letter as East.
+        letter counts of __new__ take any non-North letter as East.
         """
         step = {NORTH: self.params.m, EAST: -self.params.n}
         try:

@@ -47,8 +47,9 @@ class RemovalMove(NamedTuple):
     with the East step right after it.  `level` is the North step's start
     rank k, so the four display levels are k+m, k+m-n, k, k-n.
 
-    A named tuple, so building, hashing and comparing a move run in C;
-    every move reader checks that both fields are ints.
+    A named tuple, as every record of the package is, so hashing and
+    comparing a move run in C; every move reader checks that both fields
+    are ints.
     """
 
     position: int
@@ -57,9 +58,8 @@ class RemovalMove(NamedTuple):
 
 class RegionCounts(NamedTuple):
     """Segment counts of the non-displayed arrows in the four bands, and
-    the two recursion deltas they predict.  A named tuple, as RemovalMove
-    is: region_counts builds one per move, and a tuple is cheaper to build
-    than a frozen dataclass."""
+    the two recursion deltas they predict.  A named tuple, as every record
+    of the package is; region_counts builds one per move."""
 
     red_top_left: int
     blue_top_left: int

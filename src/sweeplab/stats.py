@@ -41,8 +41,7 @@ _walk_counts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NonIntegral
 from .paths import (
@@ -175,8 +174,7 @@ def max_stat(params: Params) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class StatTable:
+class StatTable(NamedTuple):
     """Joint (area, dinv) counts over all Dyck paths of one parameter set."""
 
     params: Params

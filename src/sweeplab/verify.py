@@ -40,15 +40,14 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import diagram, paths, recursion, stats
 from . import sweeping
 from .errors import NonIntegral
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     checked: int
     failures: tuple[str, ...]

@@ -70,7 +70,7 @@ def _ours(target) -> bool:
 
 def _methods(cls):
     """The methods written in the source of a package class; those that
-    dataclass or NamedTuple generate have no source file of their own."""
+    NamedTuple generates have no source file of their own."""
     for member in vars(cls).values():
         if isinstance(member, property):
             member = member.fget
@@ -152,10 +152,10 @@ def test_the_sides_share_only_the_input_layer(check):
 def test_the_closures_reach_through_modules_and_classes():
     # verify names stats.dinv_cells, which reaches dinv_cell_list; the
     # recursion's deltas are properties of the RegionCounts that
-    # region_counts builds; sweep builds a StepWord
+    # region_counts builds; sweep builds a StepWord, whose __new__ checks it
     assert {"stats.dinv_cells", "stats.dinv_cell_list"} <= closure(["stats.dinv_cells"])
     assert "recursion.RegionCounts.area_delta" in closure(["recursion.region_counts"])
-    assert "paths.StepWord.__post_init__" in closure(["sweeping.sweep"])
+    assert "paths.StepWord.__new__" in closure(["sweeping.sweep"])
     # the input layer is reached, but not entered
     assert closure(["paths.require_dyck"]) == {"paths.require_dyck"}
 

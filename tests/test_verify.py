@@ -225,6 +225,25 @@ def test_import_does_not_load_multiprocessing():
     assert (proc.returncode, proc.stdout) == (0, "[]\n[] []\n[] [1]\n"), proc.stderr
 
 
+def test_import_does_not_load_dataclasses():
+    # the records are named tuples; compared with the modules loaded before
+    # the import, since site may load either module first
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sweeplab, sweeplab.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=subprocess_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_checked_volumes(p321, monkeypatch):
     by_name = {r.name: r.checked for r in run_checks(p321)}
     assert by_name["dinv-sweeps-to-area"] == 2  # paths
