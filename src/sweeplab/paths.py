@@ -55,18 +55,32 @@ EAST = "E"
 DEFAULT_STEP_LIMIT = 40
 
 
+class _Checked:
+    """A record rebuilt through its checking __new__ by _make, _replace and
+    every pickle protocol; a word's cached ranks travel as its state."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self), getattr(self, "__dict__", None) or None
+
+
 class _ParamsFields(NamedTuple):
     m: int
     n: int
     d: int
 
 
-class Params(_ParamsFields):
+class Params(_Checked, _ParamsFields):
     """The triple (m, n, d): slope pair and dilation factor.
 
     m is the rank gained by a North step, n the rank dropped by an East
     step; the underlying grid is dm wide and dn tall.  __new__ checks the
-    triple, when it is built and when it is unpickled.
+    triple, when it is built, replaced or unpickled.
     """
 
     __slots__ = ()
@@ -111,7 +125,7 @@ class _StepWordFields(NamedTuple):
     params: Params
 
 
-class StepWord(_StepWordFields):
+class StepWord(_Checked, _StepWordFields):
     """An immutable word of North/East steps with its parameters.  `steps`
     is the word as one str of N and E letters, which `text` returns as it
     is and __new__ counts; its start ranks are computed once, on first use,

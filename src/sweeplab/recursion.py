@@ -22,6 +22,11 @@ because each band's red and blue counts are tied by the alternating row
 pattern, which is how the main identity reduces to the area-0 base case.
 reduce_to_base follows one such chain of moves down to the base path,
 taking at each word the move whose East step is swept last (`sweep_key`).
+
+The image-rank drop of the moved North step reads both ranks off the sweep
+images; `_rank_band`, the one inline sweep comparator, counts the band sum
+they must differ by.  Each public move reader checks its move and runs a
+private form on the checked (p, k), which `verify` calls directly.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .paths import (
     require_dyck,
     start_ranks,
 )
-from .sweeping import sweep_key
+from .sweeping import sweep, sweep_key, sweep_order
 from .stats import area_cells
 
 
@@ -121,29 +126,29 @@ def _check_move(word: StepWord, move: RemovalMove) -> tuple[int, int]:
     return p, k
 
 
-def _swap(word: StepWord, p: int, k: int) -> tuple[str, tuple[int, ...]]:
-    """The letters and start ranks of `word` with the North-East pair at p
-    swapped: the ranks are the word's, except that the North step now at
-    column p+1 starts at k-n.  The move is not checked here."""
+def _apply_move(word: StepWord, p: int, k: int) -> StepWord:
+    """apply_move for a checked (p, k).  The swapped word is handed the
+    word's ranks, but k-n for the North step now at column p+1."""
     steps, ranks = word.steps, list(start_ranks(word))
     ranks[p] = k - word.params.n
-    return steps[:p - 1] + EAST + NORTH + steps[p + 1:], tuple(ranks)
+    swapped = StepWord(steps[:p - 1] + EAST + NORTH + steps[p + 1:], word.params)
+    return hand_over_ranks(swapped, tuple(ranks))
 
 
 def apply_move(word: StepWord, move: RemovalMove) -> StepWord:
     """The word with the two steps swapped; area drops by exactly one.
-
-    Raises InvalidMove for an invalid move, as region_counts and
-    rank_difference_check do through the same check.  The swapped word is
-    handed its start ranks by _swap, so it never computes them.
-    """
-    p, k = _check_move(word, move)
-    steps, ranks = _swap(word, p, k)
-    return hand_over_ranks(StepWord(steps, word.params), ranks)
+    Raises InvalidMove for an invalid move, as every move reader does."""
+    return _apply_move(word, *_check_move(word, move))
 
 
 def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
-    """Count band segments of all arrows except the two being moved.
+    """Count band segments of all arrows except the two being moved; the
+    move is checked as apply_move checks it."""
+    return _region_counts(word, *_check_move(word, move))
+
+
+def _region_counts(word: StepWord, p: int, k: int) -> RegionCounts:
+    """region_counts for a checked (p, k).
 
     An up arrow crosses row j iff its start lies in (j-m, j], a down
     arrow iff its start lies in (j, j+n]; substituting the four band rows
@@ -153,12 +158,10 @@ def region_counts(word: StepWord, move: RemovalMove) -> RegionCounts:
 
     Two slice loops count the bands: one over the columns left of p, one
     over those right of p+1, so no column is tested for its side.  Within
-    a side each letter's bands are disjoint rank intervals.  The move is
-    checked as apply_move checks it, and no swapped word is built.
-    `verify` calls this once per move and reads both predicted deltas from
-    the result.
+    a side each letter's bands are disjoint rank intervals.  No swapped
+    word is built.  `verify` calls this once per move and reads both
+    predicted deltas from the result.
     """
-    p, k = _check_move(word, move)
     m, n = word.params.m, word.params.n
     ranks = start_ranks(word)
 
@@ -209,45 +212,29 @@ def dinv_recursion_delta(word: StepWord, move: RemovalMove) -> int:
 
 
 def rank_difference_check(word: StepWord, move: RemovalMove) -> bool:
-    """Verify the image-rank drop of the moved North step.
-
-    rank(S) is the image start rank of the North step in the original
-    word, rank(S') that of its lowered replacement in the swapped word:
-    b*m - a*n over the b North and a East steps swept before it.  Their
-    difference must be m*A - n*B where A up arrows and B down arrows (the
-    displayed pair excluded) are swept strictly between (k-n, p+1) and
-    (k, p).
-
-    Every sweep comparison is a plain rank/column test, the order of
-    sweep_key: the step at column c with start rank r is swept before
-    (k, p) iff r < k, or r == k and c > p, and after (k-n, p+1) iff
-    r > k-n, or r == k-n and c <= p.  rank(S') is read off the swapped
-    letters and ranks, the ones apply_move's word gets, but with no word
-    built, against their own rank at column p+1, so the check does not
-    lean on the original word for it.  One pass over the word and its
-    swap side by side gives both ranks and the band sum m*A - n*B.  The
-    band is counted among the steps swept before (k, p), which is the
-    North step's own place once the move check has matched the rank at p;
-    the displayed pair needs no test of its own, since step p is the bound
-    and step p+1 starts at k+m, above it.
-    """
+    """Verify the image-rank drop of the moved North step: rank(S), read
+    off sweep(word) at the sweep place of column p, less rank(S'), read off
+    the swapped word's image at that of column p+1, is the band sum of
+    _rank_band.  Raises InvalidMove for an invalid move."""
     p, k = _check_move(word, move)
+    swapped = _apply_move(word, p, k)
+    rank_before = start_ranks(sweep(word))[sweep_order(word).index(p)]
+    rank_after = start_ranks(sweep(swapped))[sweep_order(swapped).index(p + 1)]
+    return rank_before - rank_after == _rank_band(word, p, k)
+
+
+def _rank_band(word: StepWord, p: int, k: int) -> int:
+    """m*A - n*B for a checked (p, k): A up and B down arrows are swept
+    strictly between (k-n, p+1) and (k, p), by the rank/column test of
+    sweep_key.  The displayed pair needs no test of its own: step p is the
+    upper bound, and step p+1 starts at k+m, above it."""
     m, n = word.params.m, word.params.n
     low = k - n
-    swapped_steps, swapped_ranks = _swap(word, p, k)
-    after = swapped_ranks[p]
-    rank_before = rank_after = band = 0
-    for column, (letter, r, swapped_letter, swapped_r) in enumerate(
-        zip(word.steps, start_ranks(word), swapped_steps, swapped_ranks), start=1
-    ):
-        if r < k or (r == k and column > p):
-            step = m if letter == NORTH else -n
-            rank_before += step
-            if r > low or (r == low and column <= p):
-                band += step
-        if swapped_r < after or (swapped_r == after and column > p + 1):
-            rank_after += m if swapped_letter == NORTH else -n
-    return rank_before - rank_after == band
+    band = 0
+    for column, (letter, r) in enumerate(zip(word.steps, start_ranks(word)), start=1):
+        if (r < k or (r == k and column > p)) and (r > low or (r == low and column <= p)):
+            band += m if letter == NORTH else -n
+    return band
 
 
 def reduce_to_base(word: StepWord) -> list[RemovalMove]:

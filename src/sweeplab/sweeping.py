@@ -16,10 +16,10 @@ built.  Along the enumeration walk, `paths._walk` keeps each path's image
 as a counting sort instead, in a buffer of one slot per (rank, tie) pair
 that it updates only where the path changed, so `unsweep` and `sweeplab
 enumerate` sort no path.  The tests check each realization against the
-other.  Code that only asks whether one step is swept before another
-compares plain ranks and columns: the step at column c with start rank r
-comes before the one at column c' with rank r' iff r < r', or r == r' and
-c > c'.
+other.  The rank-difference band and the region counts of `recursion`
+only ask whether one step is swept before another, and compare plain
+ranks and columns: the step at column c with start rank r comes before
+the one at column c' with rank r' iff r < r', or r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of

@@ -22,7 +22,7 @@ whether the word is reached as a path or first as the swapped word of
 another path's removal move, and keeps them until the path is reached;
 so each word is swept and its statistics counted once per run (once per
 worker with jobs > 1).  A swapped word whose image is not Dyck fails the
-area recursion of that move.
+area recursion of that move.  Each move is checked and swapped once.
 
 The pass is split into contiguous ranges of the enumeration, one per
 worker, with no process pool: the calling process forks one child per
@@ -120,7 +120,9 @@ def _word_failures(words):
             fails["row-structure"].append(f"word={word.text}")
 
         line_ranks = sweeping.green_line_ranks(word)
-        for step, image_rank in zip(sweeping.sweep_order(word), paths.start_ranks(image)):
+        image_ranks = paths.start_ranks(image)
+        order = sweeping.sweep_order(word)
+        for step, image_rank in zip(order, image_ranks):
             counted = line_ranks[step - 1]
             if counted != image_rank:
                 fails["green-line-rank"].append(
@@ -131,30 +133,29 @@ def _word_failures(words):
         if area > 0 and not moves:
             fails["move-existence"].append(f"word={word.text} area={area}")
         for move in moves:
-            swapped = recursion.apply_move(word, move)
-            _, swapped_dinv, swapped_image_area = word_stats(swapped)
-            counts = recursion.region_counts(word, move)
+            p, k = recursion._check_move(word, move)
+            swapped = recursion._apply_move(word, p, k)
+            swapped_image, swapped_dinv, swapped_image_area = word_stats(swapped)
+            counts = recursion._region_counts(word, p, k)
             # "undefined" when the swapped image is not Dyck: no delta equals it
             direct_area = ("undefined" if swapped_image_area is None
                            else image_area - swapped_image_area)
             if counts.area_delta != direct_area:
                 fails["area-recursion"].append(
-                    f"word={word.text} p={move.position} "
-                    f"delta={counts.area_delta} direct={direct_area}",
-                )
+                    f"word={word.text} p={p} delta={counts.area_delta} direct={direct_area}")
             direct_dinv = dinv - swapped_dinv
             if counts.dinv_delta != direct_dinv:
                 fails["dinv-recursion"].append(
-                    f"word={word.text} p={move.position} "
-                    f"delta={counts.dinv_delta} direct={direct_dinv}",
-                )
-            if not recursion.rank_difference_check(word, move):
-                fails["rank-difference"].append(f"word={word.text} p={move.position}")
+                    f"word={word.text} p={p} delta={counts.dinv_delta} direct={direct_dinv}")
+            rank_drop = image_ranks[order.index(p)] - paths.start_ranks(swapped_image)[
+                sweeping.sweep_order(swapped).index(p + 1)]
+            if rank_drop != recursion._rank_band(word, p, k):
+                fails["rank-difference"].append(f"word={word.text} p={p}")
             if (
                 counts.red_top_left != counts.blue_top_left
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
-                fails["cross-identities"].append(f"word={word.text} p={move.position}")
+                fails["cross-identities"].append(f"word={word.text} p={p}")
     return fails, move_total, pairs, zero_area
 
 
@@ -167,8 +168,7 @@ def check_jobs(jobs: int) -> None:
 
 def _worker_count(jobs: int, path_count: int) -> int:
     """jobs clamped to the CPUs this process may use and to the path count;
-    1 where os.fork is unavailable, since only a forked child inherits the
-    caller's modules, monkeypatches included."""
+    1 where os.fork is unavailable (see the module docstring)."""
     if min(jobs, path_count) <= 1 or not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -247,8 +247,7 @@ def _fork_join(words, ranges) -> list:
 
     One forked child runs each range but the first, on the copy of `words`
     it inherits, so every child is forked before this process reads
-    `words` for the first range, which it checks itself meanwhile.  So a
-    single range forks nothing and loads neither pickle nor signal.  The
+    `words` for the first range, which it checks itself meanwhile.  The
     children are then joined in range order, and the exception raised is
     the earliest range's, as with one range.  However this call ends, no
     child outlives it: on an exception in the first range, or on
@@ -329,8 +328,7 @@ def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckRes
     the last left open to the end of the enumeration (see _fork_join).
     The returns are concatenated in index order, so the outcome never
     depends on scheduling, and bijectivity fails when the pass saw other
-    than count_dyck paths.  The worker count is jobs clamped to the
-    available CPUs and to the path count, and 1 without `os.fork`.  A fork
+    than count_dyck paths.  The worker count is _worker_count's.  A fork
     copies only the calling thread, so pass jobs > 1 only from a process
     that runs no other threads.  Raises ValueError, before any work, when
     jobs or an explicit limit is not a positive int (check_jobs, and

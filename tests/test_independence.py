@@ -42,11 +42,15 @@ SIDES = {
     ),
     "dinv-sweeps-to-area": (["stats.dinv_pairs"], ["sweeping.sweep", "stats.area_cells"]),
     "area-recursion": (
-        ["recursion.region_counts"],
-        ["recursion.apply_move", "sweeping.sweep", "stats.area_cells"],
+        ["recursion._region_counts"],
+        ["recursion._apply_move", "sweeping.sweep", "stats.area_cells"],
     ),
     "dinv-recursion": (
-        ["recursion.region_counts"], ["recursion.apply_move", "stats.dinv_pairs"]
+        ["recursion._region_counts"], ["recursion._apply_move", "stats.dinv_pairs"]
+    ),
+    "rank-difference": (
+        ["recursion._rank_band"],
+        ["sweeping.sweep", "sweeping.sweep_order", "recursion._apply_move"],
     ),
 }
 

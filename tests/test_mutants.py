@@ -10,13 +10,9 @@ the original.  SETS hold d = 1 and d > 1; only d > 1 has rank ties, and
 most entries below fail there alone.
 
 Not in the catalogue, each with its reason:
-- Three mutants of rank_difference_check pass every check:
-  `r <= k or ...` and `... column >= p` in its first test, and
-  `... column < p` in its band test.  The check counts rank(S) and the
-  band over the same steps with the same test, so a wrong bound cancels
-  out.  They join the catalogue once the check reads rank(S) and rank(S')
-  off the sweep images (ROADMAP item 1).
 - Equivalent mutants, which no check can catch:
+  - _rank_band, `column <= p` -> `column < p` in its lower test: column
+    p holds the North step of rank k, never one of rank k - n.
   - green_line_ranks, `ups[up_lo] < up_floor` and
     `downs[down_hi] <= down_ceiling`: an arrow exactly on the window edge
     adds zero segments.
@@ -61,12 +57,18 @@ CHECKED_MUTANTS = [
     (stats, "area_cells", "m * y // n - x", "(m * y - 1) // n - x",
      {"area-formula", "base-case", "dinv-sweeps-to-area"}),
     (recursion, "valid_moves", "r >= n", "r > n", {"move-existence"}),
-    (recursion, "region_counts", "k <= r < k + m", "k < r < k + m",
+    (recursion, "_region_counts", "k <= r < k + m", "k < r < k + m",
      {"area-recursion", "cross-identities"}),
-    (recursion, "region_counts", "k - n < r <= k", "k - n <= r <= k",
+    (recursion, "_region_counts", "k - n < r <= k", "k - n <= r <= k",
      {"area-recursion", "cross-identities"}),
-    (recursion, "region_counts", "k < r <= k + m", "k <= r <= k + m",
+    (recursion, "_region_counts", "k < r <= k + m", "k <= r <= k + m",
      {"area-recursion", "dinv-recursion"}),
+    # rank(S) and rank(S') are read off the sweep images, so a wrong bound
+    # in the band's comparator no longer cancels out
+    (recursion, "_rank_band", "r < k", "r <= k", {"rank-difference"}),
+    (recursion, "_rank_band", "column > p", "column >= p", {"rank-difference"}),
+    # ties broken leftmost-first: only d > 1 has ties
+    (recursion, "_rank_band", "column > p", "column < p", {"rank-difference"}),
     # a count that leaves out the rank-0 vertices, the end included
     (paths, "count_dyck", "m * y - n * x < 0", "m * y - n * x <= 0",
      {"bijectivity"}, "the pass saw 66 paths, count_dyck gives 0"),

@@ -1,13 +1,16 @@
 """The contracts of the package's records: Params, StepWord, PathDiagram,
 StatTable and CheckResult, each a named tuple.  Their reprs, immutability,
 hashing and pickling are pinned, and a Params or StepWord is checked
-again when it is unpickled."""
+again when it is rebuilt by _make or _replace, or unpickled under any
+protocol."""
 
 import pickle
 
 import pytest
 
 from sweeplab import (
+    BadCounts,
+    NonCoprime,
     NonPositive,
     Params,
     StepWord,
@@ -102,6 +105,55 @@ def test_unpickling_checks_the_params_again():
     assert data.count(b"K\x03") == 1  # the BININT1 opcode of m = 3
     with pytest.raises(NonPositive, match="m must be a positive integer, got 0"):
         pickle.loads(data.replace(b"K\x03", b"K\x00"))
+
+
+P32 = make_params(3, 2)
+# record: (a valid value, an invalid field tuple, the error its check raises)
+CHECKED = {
+    "Params": (P32, (4, 2, 1), NonCoprime),
+    "StepWord": (parse_word("NENEE", P32), ("NNN", P32), BadCounts),
+}
+
+
+@pytest.mark.parametrize("record", CHECKED)
+def test_make_checks_its_fields(record):
+    value, invalid, error = CHECKED[record]
+    assert type(value)._make(tuple(value)) == value
+    with pytest.raises(error):
+        type(value)._make(invalid)
+
+
+@pytest.mark.parametrize("record", CHECKED)
+def test_replace_checks_its_fields(record):
+    value, invalid, error = CHECKED[record]
+    field = value._fields[0]
+    assert value._replace(**{field: value[0]}) == value
+    with pytest.raises(error):
+        value._replace(**{field: invalid[0]})
+
+
+def test_replace_refuses_a_zero_slope():
+    with pytest.raises(NonPositive, match="m must be a positive integer, got 0"):
+        P32._replace(m=0)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("record", CHECKED)
+def test_every_pickle_protocol_checks_the_record(record, protocol):
+    value, invalid, error = CHECKED[record]
+    assert pickle.loads(pickle.dumps(value, protocol=protocol)) == value
+    # built past __new__, as no builder of the package can build it
+    forged = tuple.__new__(type(value), invalid)
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(forged, protocol=protocol))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_every_pickle_protocol_keeps_a_words_ranks(protocol):
+    word = list(enumerate_dyck(make_params(5, 3)))[3]
+    copy = pickle.loads(pickle.dumps(word, protocol=protocol))
+    assert copy == word
+    assert copy.__dict__["_ranks"] == word.__dict__["_ranks"]
 
 
 def test_len_of_a_word_is_its_step_count():

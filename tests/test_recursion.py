@@ -49,25 +49,29 @@ def _image_rank(word, keys, step):
     )
 
 
-def rank_difference_by_passes(word, move):
-    """rank_difference_check in three passes over sweep_key tuples: each
-    image rank over its own word's keys, then the band census with the
-    displayed pair skipped by column."""
-    swapped = sweeplab.recursion.apply_move(word, move)
+def band_by_passes(word, move):
+    """The band sum m*A - n*B over sweep_key tuples, with the displayed
+    pair skipped by column."""
     m, n = word.params.m, word.params.n
     p, k = move.position, move.level
-    keys = _sweep_keys(word)
-    rank_before = _image_rank(word, keys, p)
-    rank_after = _image_rank(swapped, _sweep_keys(swapped), p + 1)
     low, high = sweep_key(k - n, p + 1), sweep_key(k, p)
     ups = downs = 0
-    for c, (letter, key) in enumerate(zip(word.steps, keys), start=1):
+    for c, (letter, key) in enumerate(zip(word.steps, _sweep_keys(word)), start=1):
         if low < key < high and c != p and c != p + 1:
             if letter == NORTH:
                 ups += 1
             else:
                 downs += 1
-    return rank_before - rank_after == m * ups - n * downs
+    return m * ups - n * downs
+
+
+def rank_difference_by_passes(word, move):
+    """rank_difference_check in three passes over sweep_key tuples: each
+    image rank over its own word's keys, then the band census."""
+    swapped = sweeplab.recursion.apply_move(word, move)
+    rank_before = _image_rank(word, _sweep_keys(word), move.position)
+    rank_after = _image_rank(swapped, _sweep_keys(swapped), move.position + 1)
+    return rank_before - rank_after == band_by_passes(word, move)
 
 
 def region_counts_by_one_loop(word, move):
@@ -236,11 +240,10 @@ def test_every_move_reader_takes_a_plain_pair(reader, m, n, d):
 
 
 def test_move_readers_build_no_word(monkeypatch):
-    # only apply_move builds a swapped word: region_counts and
-    # rank_difference_check read the word's lists and the swap's
+    # only _apply_move builds a swapped word: region_counts and the band
+    # sum that verify compares the rank drop with read the word's lists
     cases = [
-        (word, move, region_counts_by_one_loop(word, move),
-         rank_difference_by_passes(word, move))
+        (word, move, region_counts_by_one_loop(word, move), band_by_passes(word, move))
         for (m, n, d) in WIDE_SETS for word in all_dyck(m, n, d)
         for move in valid_moves(word)
     ]
@@ -249,9 +252,9 @@ def test_move_readers_build_no_word(monkeypatch):
         raise AssertionError("a move reader built a word")
 
     monkeypatch.setattr(sweeplab.recursion, "StepWord", no_word)
-    for word, move, counts, holds in cases:
+    for word, move, counts, band in cases:
         assert region_counts(word, move) == counts, (word.text, move)
-        assert rank_difference_check(word, move) == holds, (word.text, move)
+        assert sweeplab.recursion._rank_band(word, *move) == band, (word.text, move)
 
 
 class TestRegionCounts:
@@ -353,9 +356,7 @@ class TestRankDifference:
         # the same with the swap left out, so that rank(S') is read off the
         # unswapped word: the identity then fails on most moves, and the
         # two forms must still agree move by move
-        monkeypatch.setattr(
-            sweeplab.recursion, "_swap", lambda word, p, k: (word.steps, start_ranks(word))
-        )
+        monkeypatch.setattr(sweeplab.recursion, "_apply_move", lambda word, p, k: word)
         outcomes = [rank_difference_check(word, move) for word, move in moves]
         assert outcomes == [rank_difference_by_passes(word, move) for word, move in moves]
         assert set(outcomes) == {True, False}

@@ -313,7 +313,7 @@ def test_each_move_builds_one_swapped_word(monkeypatch):
         built["words"] += 1
         return true_step_word(steps, params)
 
-    # apply_move is the only StepWord constructor in recursion
+    # _apply_move is the only StepWord constructor in recursion
     monkeypatch.setattr(sweeplab.recursion, "StepWord", counted)
     results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
     assert all(r.passed for r in results.values())
@@ -322,26 +322,50 @@ def test_each_move_builds_one_swapped_word(monkeypatch):
 
 
 def test_each_move_is_swapped_once(monkeypatch):
-    # verify swaps each move through apply_move, once; region_counts and
-    # rank_difference_check run the same move check but build no word
+    # verify swaps each move through _apply_move, once; _region_counts and
+    # _rank_band read the same checked move but build no word
     calls = collections.Counter()
-    true_apply_move = sweeplab.recursion.apply_move
+    true_apply_move = sweeplab.recursion._apply_move
     true_step_word = sweeplab.recursion.StepWord
 
-    def counted_apply_move(word, move):
+    def counted_apply_move(word, p, k):
         calls["apply_move"] += 1
-        return true_apply_move(word, move)
+        return true_apply_move(word, p, k)
 
     def counted_step_word(steps, params):
         calls["built"] += 1
         return true_step_word(steps, params)
 
-    # verify resolves apply_move through the module
-    monkeypatch.setattr(sweeplab.recursion, "apply_move", counted_apply_move)
+    # verify resolves _apply_move through the module
+    monkeypatch.setattr(sweeplab.recursion, "_apply_move", counted_apply_move)
     monkeypatch.setattr(sweeplab.recursion, "StepWord", counted_step_word)
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
     # 144 valid moves over the 66 paths of (7,5,1)
     assert (calls["apply_move"], calls["built"]) == (144, 144)
+
+
+def test_each_move_is_checked_once(monkeypatch):
+    # verify checks each move once and hands the checked (p, k) to the
+    # private forms, which run no check of their own
+    calls = collections.Counter()
+    true_check_move = sweeplab.recursion._check_move
+    true_step_word = sweeplab.recursion.StepWord
+
+    def counted_check_move(word, move):
+        calls["checked"] += 1
+        return true_check_move(word, move)
+
+    def counted_step_word(steps, params):
+        calls["built"] += 1
+        return true_step_word(steps, params)
+
+    # verify and the move readers resolve _check_move through the module
+    monkeypatch.setattr(sweeplab.recursion, "_check_move", counted_check_move)
+    monkeypatch.setattr(sweeplab.recursion, "StepWord", counted_step_word)
+    results = {r.name: r for r in run_checks(make_params(7, 5, 1))}
+    assert all(r.passed for r in results.values())
+    assert results["rank-difference"].checked == 144
+    assert (calls["checked"], calls["built"]) == (144, 144)
 
 
 def _reversed_after_nne(params):
@@ -419,15 +443,15 @@ def test_checked_volumes_of_the_benchmark_sets(m, n, d, path_count, move_count):
 
 
 def test_broken_region_counts_are_caught(monkeypatch):
-    true_counts = sweeplab.recursion.region_counts
+    true_counts = sweeplab.recursion._region_counts
 
-    def shifted(word, move):
-        counts = true_counts(word, move)
+    def shifted(word, p, k):
+        counts = true_counts(word, p, k)
         return counts._replace(red_top_left=counts.red_top_left + 1)
 
-    # verify reads both predicted deltas from the one region_counts call
+    # verify reads both predicted deltas from the one _region_counts call
     # per move, resolved through the module, so it sees the patch
-    monkeypatch.setattr(sweeplab.recursion, "region_counts", shifted)
+    monkeypatch.setattr(sweeplab.recursion, "_region_counts", shifted)
     params = make_params(5, 3, 2)
     results = run_checks(params)
     by_name = {r.name: r for r in results}
@@ -607,10 +631,12 @@ def test_broken_row_structure_is_caught(monkeypatch):
 
 
 def test_broken_rank_difference_is_caught(monkeypatch):
-    true_check = sweeplab.recursion.rank_difference_check
+    # a band sum off by one on the words that start NE: verify compares
+    # the image-rank drop with the one _rank_band call per move
+    true_band = sweeplab.recursion._rank_band
     monkeypatch.setattr(
-        sweeplab.recursion, "rank_difference_check",
-        lambda word, move: not _starts_ne(word) and true_check(word, move),
+        sweeplab.recursion, "_rank_band",
+        lambda word, p, k: true_band(word, p, k) + _starts_ne(word),
     )
     expected = [f"word={w.text} p={move.position}"
                 for w in all_dyck(7, 5, 1) if _starts_ne(w) for move in valid_moves(w)]
