@@ -11,30 +11,27 @@ Words are plain strings over {N, E} wrapped in StepWord together with
 their parameters.  Columns (step positions) are numbered from 1 so that
 they match the columns of the stretched diagram in `diagram`.
 
-A word's start ranks are computed at most once.  Two builders already
-hold them and hand them over through `hand_over_ranks`: the enumeration
-and `recursion.apply_move`, whose swapped word differs from its parent in
-one start rank.  The enumeration walk (`_walk`) keeps each step's letter
-and start rank in two lists that it changes in place and yields after
-every path, with the first index it rewrote since its previous yield and
-a buffer that holds the path's sweep image as a counting sort by start
-rank, kept up to date step by step as the lists change; `enumerate_dyck`
+A word's start ranks are computed at most once.  The enumeration and
+`recursion.apply_move`, whose swapped word differs from its parent in one
+start rank, hold them already and hand them over (`hand_over_ranks`).  The
+enumeration walk (`_walk`) keeps each step's letter and start rank in two
+lists that it changes in place and yields after every path, with the first
+index it rewrote since its previous yield and a buffer that holds the
+path's sweep image as a counting sort by start rank; `enumerate_dyck`
 joins the letters into a word, hands it a copy of the ranks and ignores
 the buffer.  The consumers that need no word read the walk directly: the
-unsweep table in `sweeping`, which reads the image off the buffer, and
-`stats._walk_counts`, whose running sums of area and dinv feed `sweeplab
-enumerate` (with the buffer's image) and `stats.joint_distribution`
-(`sweeplab table`) and recount each path only from that index on.  They check no path, since the
-walk's pruning yields only Dyck paths with dn North and dm East letters.
-Any other word (a sweep image, a parsed word) computes its ranks on first
-use, as a running sum (`itertools.accumulate`) of the step each letter
-contributes.
+unsweep table in `sweeping` reads the image off the buffer, and the
+running sums of `stats._walk_counts` (for `sweeplab enumerate` and
+`stats.joint_distribution`) recount each path only from that index on.
+The walk yields only Dyck paths of the right letter counts, so they check
+none.  Any other word (a sweep image, a parsed word) computes its ranks on
+first use, a running sum of each letter's step, and `_once` keeps them,
+and its Dyck verdict, in the word's __dict__.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -120,6 +117,21 @@ def make_params(m: int, n: int, d: int = 1) -> Params:
     return Params(m, n, d)
 
 
+class _once:
+    """functools.cached_property without the lock that 3.11 takes on each
+    first read, which stores func(instance) in the instance __dict__,
+    shadowing this descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class _StepWordFields(NamedTuple):
     steps: str
     params: Params
@@ -127,10 +139,9 @@ class _StepWordFields(NamedTuple):
 
 class StepWord(_Checked, _StepWordFields):
     """An immutable word of North/East steps with its parameters.  `steps`
-    is the word as one str of N and E letters, which `text` returns as it
-    is and __new__ counts; its start ranks are computed once, on first use,
-    unless its builder handed them over (see hand_over_ranks), and kept in
-    the instance __dict__, so StepWord declares no __slots__."""
+    (or `text`) is the word as one str of N and E letters, which __new__
+    counts; its lazy start ranks live in the instance __dict__, so
+    StepWord declares no __slots__."""
 
     def __new__(cls, steps: str, params: Params):
         if type(steps) is not str:
@@ -147,9 +158,7 @@ class StepWord(_Checked, _StepWordFields):
             )
         return tuple.__new__(cls, (steps, params))
 
-    @property
-    def text(self) -> str:
-        return self.steps
+    text = _StepWordFields.steps  # the field's own C getter
 
     def __str__(self) -> str:
         return self.text
@@ -157,13 +166,12 @@ class StepWord(_Checked, _StepWordFields):
     def __len__(self) -> int:
         return len(self.steps)
 
-    @cached_property
+    @_once
     def _ranks(self) -> tuple[int, ...]:
         """The starting rank of each step; see start_ranks.
 
-        Every letter, the last one included, is looked up here, so a
-        letter other than N and E raises BadLetter on first use; the
-        letter counts of __new__ take any non-North letter as East.
+        Each letter, the last too, is looked up, so one other than N and E
+        raises BadLetter here; __new__ counts any non-North letter as East.
         """
         step = {NORTH: self.params.m, EAST: -self.params.n}
         try:
@@ -172,7 +180,7 @@ class StepWord(_Checked, _StepWordFields):
         except KeyError as exc:
             raise BadLetter(f"letter {exc.args[0]!r} is not N or E") from None
 
-    @cached_property
+    @_once
     def _dyck(self) -> bool:
         """Whether no start rank is negative; see is_dyck."""
         return min(self._ranks) >= 0
@@ -195,12 +203,9 @@ def parse_word(text: str, params: Params) -> StepWord:
 
 
 def hand_over_ranks(word: StepWord, ranks: tuple[int, ...]) -> StepWord:
-    """Cache `ranks` as the start ranks of `word`, which is returned.
-
-    For a builder that already holds them, so the word never computes them
-    again.  The caller vouches for the ranks: they are not checked.
-    """
-    word.__dict__["_ranks"] = ranks  # the cached_property's slot
+    """Cache `ranks`, unchecked, as the start ranks of `word`, which is
+    returned; for code that already holds them."""
+    word.__dict__["_ranks"] = ranks  # the _once slot
     return word
 
 

@@ -9,17 +9,17 @@ point epsilon is ever used.
 
 `sweep_key` states that order as a sort key; its only library caller is
 `recursion.reduce_to_base`.  The order has two realizations.  For one
-word, `sweep` reads `sweep_order`, one stable sort of the columns, listed
-right to left, by the start ranks that `paths` caches on the word: equal
-ranks keep their input order, which is rightmost first, so no key tuple is
-built.  Along the enumeration walk, `paths._walk` keeps each path's image
-as a counting sort instead, in a buffer of one slot per (rank, tie) pair
-that it updates only where the path changed, so `unsweep` and `sweeplab
-enumerate` sort no path.  The tests check each realization against the
-other.  The rank-difference band and the region counts of `recursion`
-only ask whether one step is swept before another, and compare plain
-ranks and columns: the step at column c with start rank r comes before
-the one at column c' with rank r' iff r < r', or r == r' and c > c'.
+word, `sweep_order` is one stable sort of the columns, listed right to
+left, by the word's cached start ranks: equal ranks keep their input
+order, rightmost first, so no key is built.  `sweep` reads it, and so
+does `verify`, once per word, to file each image rank under its column.
+Along the enumeration walk, `paths._walk` keeps each path's image as a
+counting sort instead, in a buffer of one slot per (rank, tie) pair that
+it updates only where the path changed, so `unsweep` and `sweeplab
+enumerate` sort no path; the tests check each against the other.  The
+rank-difference band and the region counts of `recursion` compare ranks
+and columns: the step at column c with start rank r is swept before the
+one at column c' with rank r' iff r < r', or r == r' and c > c'.
 
 `image_start_rank` reads a step's image rank off the swept word.
 `green_line_ranks` recomputes every step's image rank from the geometry of

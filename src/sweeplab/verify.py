@@ -8,28 +8,27 @@ both statistic formulations, the green-line rank rule, the removal-move
 recursions and their cross-identities, and the base case.
 
 Statistic and sweep functions are resolved through their modules at call
-time, so a deliberately broken implementation (installed, say, by a test
-monkeypatch) is caught and reported rather than silently trusted.  So is
-one that makes the rank-sum area formula leave a remainder: that path
-fails `area-formula` with formula=undefined.
+time, so a deliberately broken implementation (a test monkeypatch, say)
+is caught and reported, not trusted; one that makes the rank-sum area
+formula leave a remainder fails `area-formula` with formula=undefined.
 
-run_checks makes one enumeration per run, and the per-path checks read
-it as one stream of words: bijectivity and the base case read the (word,
-image) texts and the area-0 paths that the pass returns, and no list of
-the paths is held; bijectivity also compares the pass's path count with
-count_dyck.  One helper gives a word's image, dinv and image area,
-whether the word is reached as a path or first as the swapped word of
-another path's removal move, and keeps them until the path is reached;
-so each word is swept and its statistics counted once per run (once per
-worker with jobs > 1).  A swapped word whose image is not Dyck fails the
-area recursion of that move.  Each move is checked and swapped once.
+run_checks makes one enumeration per run, read as one stream of words;
+bijectivity and the base case read the (word, image) texts and the area-0
+paths that the pass returns, and bijectivity also compares the pass's
+path count with count_dyck.  One helper gives a word's image text, dinv,
+image area and image rank per column, whether the word is reached as a
+path or first as the swapped word of another path's removal move, and
+keeps them, but not the image word, until the path is reached; so each
+word is swept and counted once per run (per worker with jobs > 1), and
+the green-line rule and the rank difference read their image ranks off
+it.  A swapped word whose image is not Dyck fails the area recursion of
+that move.  Each move is checked and swapped once.
 
 The pass is split into contiguous ranges of the enumeration, one per
-worker, with no process pool: the calling process forks one child per
-range but the first, checks the first range itself, and then joins the
-children in range order.  Each child answers through a pipe, with its
-pickled return or the exception it raised.  One worker is the one-range
-case: no fork, no pipe, and neither pickle nor signal is loaded.
+worker, with no process pool: the calling process forks a child for each
+range but the first, checks the first itself, and joins the children in
+range order; each answers through a pipe with its pickled return or
+exception.  One worker forks nothing and loads neither pickle nor signal.
 `os.fork` is required, not merely a default: a forked child inherits the
 caller's modules as they are, monkeypatches included, where a freshly
 started interpreter would re-import and check the unpatched library.
@@ -68,20 +67,24 @@ def _word_failures(words):
     move_total = 0
     pairs: list[tuple[str, str]] = []
     zero_area: list[str] = []
-    # word text -> (image, dinv, image area or None) of every word met so
-    # far as a swapped word and not yet reached as a path.  A swap turns NE
-    # into EN, so the swapped word comes later in the N<E enumeration: its
-    # entry is deleted when that path is reached.
-    direct: dict[str, tuple[paths.StepWord, int, int | None]] = {}
+    # word text -> word_stats of each word met as a swapped word and not yet
+    # as a path; a swap turns NE into EN, so that path comes later in the
+    # N<E enumeration, and its entry is deleted there.
+    direct: dict[str, tuple[str, int, int | None, tuple[int, ...]]] = {}
 
     def word_stats(word):
-        """(image, dinv, image area) of a path or a swapped word, the area
-        None when the image is not Dyck; each word is swept once."""
+        """(image text, dinv, image area, by_column) of a path or a swapped
+        word: the area None when the image is not Dyck, by_column[c - 1] the
+        image rank of the step in column c."""
         known = direct.get(word.text)
         if known is None:
             image = sweeping.sweep(word)
             image_area = stats.area_cells(image) if paths.is_dyck(image) else None
-            known = direct[word.text] = (image, stats.dinv_pairs(word), image_area)
+            by_column = [0] * len(word)
+            for column, rank in zip(sweeping.sweep_order(word), paths.start_ranks(image)):
+                by_column[column - 1] = rank
+            known = direct[word.text] = (
+                image.text, stats.dinv_pairs(word), image_area, tuple(by_column))
         return known
 
     for word in words:
@@ -89,19 +92,19 @@ def _word_failures(words):
         # of the word
         moves = recursion.valid_moves(word)
         move_total += len(moves)
-        image, dinv, image_area = word_stats(word)
+        image, dinv, image_area, by_column = word_stats(word)
         del direct[word.text]
-        pairs.append((word.text, image.text))
+        pairs.append((word.text, image))
         area = stats.area_cells(word)
         if area == 0:
             zero_area.append(word.text)
         if image_area is None:
-            fails["image-is-dyck"].append(f"word={word.text} image={image.text}")
+            fails["image-is-dyck"].append(f"word={word.text} image={image}")
             continue
 
         if dinv != image_area:
             fails["dinv-sweeps-to-area"].append(
-                f"word={word.text} dinv={dinv} image={image.text} area={image_area}",
+                f"word={word.text} dinv={dinv} image={image} area={image_area}",
             )
         try:
             area_formula = stats.area_rank_formula(word)
@@ -120,22 +123,20 @@ def _word_failures(words):
             fails["row-structure"].append(f"word={word.text}")
 
         line_ranks = sweeping.green_line_ranks(word)
-        image_ranks = paths.start_ranks(image)
-        order = sweeping.sweep_order(word)
-        for step, image_rank in zip(order, image_ranks):
-            counted = line_ranks[step - 1]
-            if counted != image_rank:
-                fails["green-line-rank"].append(
-                    f"word={word.text} step={step} counted={counted} rank={image_rank}",
-                )
-                break
+        if line_ranks != by_column:  # the first mismatch in sweep order
+            for step in sweeping.sweep_order(word):
+                counted, rank = line_ranks[step - 1], by_column[step - 1]
+                if counted != rank:
+                    fails["green-line-rank"].append(
+                        f"word={word.text} step={step} counted={counted} rank={rank}")
+                    break
 
         if area > 0 and not moves:
             fails["move-existence"].append(f"word={word.text} area={area}")
         for move in moves:
             p, k = recursion._check_move(word, move)
             swapped = recursion._apply_move(word, p, k)
-            swapped_image, swapped_dinv, swapped_image_area = word_stats(swapped)
+            _, swapped_dinv, swapped_image_area, swapped_by_column = word_stats(swapped)
             counts = recursion._region_counts(word, p, k)
             # "undefined" when the swapped image is not Dyck: no delta equals it
             direct_area = ("undefined" if swapped_image_area is None
@@ -147,9 +148,8 @@ def _word_failures(words):
             if counts.dinv_delta != direct_dinv:
                 fails["dinv-recursion"].append(
                     f"word={word.text} p={p} delta={counts.dinv_delta} direct={direct_dinv}")
-            rank_drop = image_ranks[order.index(p)] - paths.start_ranks(swapped_image)[
-                sweeping.sweep_order(swapped).index(p + 1)]
-            if rank_drop != recursion._rank_band(word, p, k):
+            # rank(S) at column p less rank(S') at column p + 1
+            if by_column[p - 1] - swapped_by_column[p] != recursion._rank_band(word, p, k):
                 fails["rank-difference"].append(f"word={word.text} p={p}")
             if (
                 counts.red_top_left != counts.blue_top_left
@@ -210,11 +210,11 @@ def _fork_range(words, lo, hi):
 
 def _join(children) -> list:
     """Wait for each child in `children`, a list of (lo, hi, pid, read end)
-    in range order, reading its pipe to the end first; each is removed from
-    the list once waited for.  Returns their _word_failures returns in
-    order.  The exception a child reported is raised here, with its own
-    type and message, before any later child is waited for; a child that
-    exited without a complete answer raises RuntimeError.
+    in range order, after reading its pipe to the end, and remove it from
+    the list; returns their _word_failures returns in order.  A child's
+    exception is raised here, with its own type and message, before any
+    later child is waited for; a child with no complete answer raises
+    RuntimeError.
     """
     partials = []
     while children:
@@ -245,12 +245,11 @@ def _fork_join(words, ranges) -> list:
     """The _word_failures returns of the contiguous index ranges of
     `words`, an enumeration not yet started, in order.
 
-    One forked child runs each range but the first, on the copy of `words`
-    it inherits, so every child is forked before this process reads
-    `words` for the first range, which it checks itself meanwhile.  The
-    children are then joined in range order, and the exception raised is
-    the earliest range's, as with one range.  However this call ends, no
-    child outlives it: on an exception in the first range, or on
+    One forked child runs each range but the first, on its inherited copy
+    of `words`, so every child is forked before this process reads `words`
+    for the first range, which it checks itself.  The children are joined
+    in range order, so the exception raised is the earliest range's.  No
+    child outlives this call: on an exception in the first range, or on
     KeyboardInterrupt, each child not yet joined is killed and waited for
     before the exception propagates.
     """
@@ -323,9 +322,9 @@ def _base_case_failures(params, zero_area) -> list[str]:
 def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckResult]:
     """Run all checks; the result order matches CHECK_NAMES.
 
-    The enumeration is made once, here, and its paths are checked in one
-    pass, as one contiguous index range per worker, sized from count_dyck,
-    the last left open to the end of the enumeration (see _fork_join).
+    The enumeration is made once, here, and checked in one pass, as one
+    contiguous index range per worker sized from count_dyck, the last open
+    to the end of the enumeration (see _fork_join).
     The returns are concatenated in index order, so the outcome never
     depends on scheduling, and bijectivity fails when the pass saw other
     than count_dyck paths.  The worker count is _worker_count's.  A fork

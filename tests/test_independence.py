@@ -23,7 +23,7 @@ import textwrap
 
 import pytest
 
-from sweeplab import stats
+from sweeplab import paths, stats
 from conftest import rebuilt
 
 ALLOWED = {
@@ -78,7 +78,7 @@ def _methods(cls):
     for member in vars(cls).values():
         if isinstance(member, property):
             member = member.fget
-        elif isinstance(member, functools.cached_property):
+        elif isinstance(member, (functools.cached_property, paths._once)):
             member = member.func
         elif isinstance(member, (staticmethod, classmethod)):
             member = member.__func__
@@ -162,6 +162,13 @@ def test_the_closures_reach_through_modules_and_classes():
     assert "paths.StepWord.__new__" in closure(["sweeping.sweep"])
     # the input layer is reached, but not entered
     assert closure(["paths.require_dyck"]) == {"paths.require_dyck"}
+
+
+def test_the_closures_reach_the_bodies_of_lazy_attributes():
+    # StepWord's start ranks and the Dyck verdict that is_dyck reads are
+    # _once descriptors; is_dyck itself is input layer, not entered, and
+    # names no class, so a word built by sweep is the way in
+    assert {"paths.StepWord._ranks", "paths.StepWord._dyck"} <= closure(["sweeping.sweep"])
 
 
 def test_a_shared_definition_fails_the_audit(monkeypatch):

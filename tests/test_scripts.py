@@ -2,6 +2,7 @@
 interpreter the way a user runs it."""
 
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,31 @@ def test_frontier_exits_1_when_a_set_fails():
         "FAIL dinv-formulations, base-case, dinv-sweeps-to-area"
     )
     assert lines[-1] == "total: 10 sets, 13 paths (count_dyck 13), 10 failed"
+
+
+def test_smoke():
+    # the CI smoke job runs the same script on 3.10, 3.12 and 3.13
+    out = run_script("smoke.py").splitlines()
+    assert out[1:] == ["verify: ok", "import: ok", "frontier: ok", "enumerate: ok"]
+
+
+def test_smoke_exits_1_at_the_first_mismatch(tmp_path):
+    # a dinv fault on the words of up to 14 steps: verify's 16-step set
+    # passes, frontier's total line does not, and enumerate is not run
+    (tmp_path / "sitecustomize.py").write_text(
+        "import sweeplab.stats as stats\n"
+        "true_dinv = stats.dinv_pairs\n"
+        "stats.dinv_pairs = lambda word: true_dinv(word) + (len(word) <= 14)\n"
+    )
+    env = subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "smoke.py")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[1:] == ["verify: ok", "import: ok"]
+    assert proc.stderr.startswith("frontier: FAIL: exit 1, 0 bytes on stderr, read "
+                                  "'total: 91 sets, 2905 paths (count_dyck 2905), 91 failed'")
 
 
 def test_region_survey():

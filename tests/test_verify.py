@@ -225,25 +225,6 @@ def test_import_does_not_load_multiprocessing():
     assert (proc.returncode, proc.stdout) == (0, "[]\n[] []\n[] [1]\n"), proc.stderr
 
 
-def test_import_does_not_load_dataclasses():
-    # the records are named tuples; compared with the modules loaded before
-    # the import, since site may load either module first
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import sweeplab, sweeplab.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=subprocess_env(),
-    )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
-
-
 def test_checked_volumes(p321, monkeypatch):
     by_name = {r.name: r.checked for r in run_checks(p321)}
     assert by_name["dinv-sweeps-to-area"] == 2  # paths
@@ -261,22 +242,29 @@ def test_checked_volumes(p321, monkeypatch):
         assert results[name].checked == by_name[name]
 
 
-def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
+def _counted_calls(monkeypatch, *functions):
+    """A Counter of the calls to each (module, name) in `functions`, which
+    are patched in their modules to count each call by name."""
     calls = collections.Counter()
-
-    def count_calls(module, name):
+    for module, name in functions:
         true_fn = getattr(module, name)
 
-        def counted(*args):
+        def counted(*args, true_fn=true_fn, name=name):
             calls[name] += 1
             return true_fn(*args)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
 
-    count_calls(sweeplab.sweeping, "sweep")
-    count_calls(sweeplab.stats, "area_cells")
-    count_calls(sweeplab.stats, "dinv_pairs")
-    count_calls(sweeplab.sweeping, "green_line_ranks")
+
+def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
+    calls = _counted_calls(
+        monkeypatch,
+        (sweeplab.sweeping, "sweep"),
+        (sweeplab.stats, "area_cells"),
+        (sweeplab.stats, "dinv_pairs"),
+        (sweeplab.sweeping, "green_line_ranks"),
+    )
     assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
     # one green-line count per path covers all of its steps
     assert calls["green_line_ranks"] == 66
@@ -289,9 +277,25 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
     assert calls["dinv_pairs"] == 67
 
 
+def test_no_move_sorts_its_swapped_word(monkeypatch):
+    # each word is put in sweep order once by sweep and once to file its
+    # image ranks by column, which both rank checks read; the moves read
+    # those of their swapped words, so 144 moves add no call
+    calls = _counted_calls(
+        monkeypatch, (sweeplab.sweeping, "sweep_order"), (sweeplab.sweeping, "sweep")
+    )
+    assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    # 66 paths, each swept whether first met as a path or as a swapped
+    # word, and the base path of the base case
+    assert calls["sweep"] == 67
+    assert calls["sweep_order"] == 2 * 66 + 1
+
+
 def test_ranks_are_computed_only_for_new_words(monkeypatch):
     computed = []
     ranks_slot = sweeplab.paths.StepWord.__dict__["_ranks"]
+    # the lazy descriptor reads its func on each first read of a word
+    assert isinstance(ranks_slot, sweeplab.paths._once)
     true_ranks = ranks_slot.func
 
     def counted(word):
@@ -663,6 +667,36 @@ def test_wrong_tie_break_is_recorded(monkeypatch):
     monkeypatch.setattr(sweeplab.sweeping, "sweep_order", _leftmost_first)
     failed = {r.name for r in run_checks(make_params(3, 2, 2)) if not r.passed}
     assert {"green-line-rank", "bijectivity"} <= failed
+
+
+def test_wrong_tie_break_messages_at_a_tie_set(monkeypatch):
+    # the green-line mismatch is reported at the first step in sweep order
+    # that disagrees, and both rank checks fail on their own
+    monkeypatch.setattr(sweeplab.sweeping, "sweep_order", _leftmost_first)
+    results = {r.name: r for r in run_checks(make_params(5, 3, 2))}
+    green = results["green-line-rank"].failures
+    assert (len(green), green[0]) == (
+        525, "word=NNNNNNEEEEEEEEEE step=4 counted=0 rank=3"
+    )
+    assert len(results["rank-difference"].failures) == 708
+
+
+def test_green_line_off_in_the_last_column_is_reported_there(monkeypatch):
+    true_ranks = sweeplab.sweeping.green_line_ranks
+
+    def last_raised(word):
+        counts = true_ranks(word)
+        if word.text.startswith("NN"):
+            return (*counts[:-1], counts[-1] + 1)
+        return counts
+
+    monkeypatch.setattr(sweeplab.sweeping, "green_line_ranks", last_raised)
+    results = {r.name: r for r in run_checks(make_params(5, 3, 2))}
+    assert {r.name for r in results.values() if not r.passed} == {"green-line-rank"}
+    green = results["green-line-rank"].failures
+    assert (len(green), green[0]) == (
+        331, "word=NNNNNNEEEEEEEEEE step=16 counted=6 rank=5"
+    )
 
 
 def test_wrong_tie_break_is_recorded_under_optimize():
