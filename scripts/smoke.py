@@ -7,7 +7,7 @@ with no pytest.  Each step runs in a child of sys.executable with this
 checkout's src/ first on PYTHONPATH; it must exit 0 with nothing on
 stderr, and what is read off its stdout must equal the value pinned
 below.  The script stops at the first mismatch, reports it on stderr and
-exits 1; it exits 0 when all four steps match:
+exits 1; it exits 0 when all five steps match:
 
 - verify: `verify --m 5 --n 3 --d 2 --jobs 2` under `-W always` prints the
   PASS line.  Python 3.12 and later warn when a process with threads
@@ -19,6 +19,9 @@ exits 1; it exits 0 when all four steps match:
 - frontier: `scripts/frontier.py 14`, every check on every set of up to
   14 steps, ends with the pinned total line.
 - enumerate: the JSONL output of `enumerate --m 14 --n 9` is byte-stable.
+- unsweep: `unsweep --m 7 --n 4 --d 2` takes the corner path to the base
+  path, with the d = 2 rank ties going through the table's image buffer
+  and the unrank of the preimage.
 """
 
 import hashlib
@@ -55,6 +58,10 @@ STEPS = [
     ("enumerate",
      ["-m", "sweeplab", "enumerate", "--m", "14", "--n", "9", "--format", "jsonl"],
      digest, "05b023e45272fc3761a66cbeae12552c567f613425a76819f2de39efdabe1f27"),
+    ("unsweep",
+     ["-m", "sweeplab", "unsweep", "--m", "7", "--n", "4", "--d", "2",
+      "NNNNNNNNEEEEEEEEEEEEEE"],
+     bytes.decode, "NENEENEENEENENEENEENEE\n"),
 ]
 
 

@@ -24,9 +24,12 @@ unsweep table in `sweeping` reads the image off the buffer, and the
 running sums of `stats._walk_counts` (for `sweeplab enumerate` and
 `stats.joint_distribution`) recount each path only from that index on.
 The walk yields only Dyck paths of the right letter counts, so they check
-none.  Any other word (a sweep image, a parsed word) computes its ranks on
-first use, a running sum of each letter's step, and `_once` keeps them,
-and its Dyck verdict, in the word's __dict__.
+none.  `_completions` counts the Dyck completions from every vertex, and
+`_unrank` walks those counts to rebuild the walk's i-th path from i alone,
+so the unsweep table keeps an index, not a word.  Any other word (a sweep
+image, a parsed word) computes its ranks on first use, a running sum of
+each letter's step, and `_once` keeps them, and its Dyck verdict, in the
+word's __dict__.
 """
 
 from __future__ import annotations
@@ -349,6 +352,50 @@ def count_dyck(params: Params) -> int:
             elif y:
                 ways[y] += ways[y - 1]
     return ways[-1]
+
+
+def _completions(params: Params) -> list[int]:
+    """The number of Dyck completions from each vertex (x, y), at
+    flat[x*(dn+1) + y], and 0 below the diagonal; flat[0] is count_dyck.
+
+    Filled backwards from (dm, dn), the one vertex of column dm on or above
+    the diagonal, so each vertex of an earlier column is its North and East
+    neighbours' sum; the North neighbour of a top vertex reads row 0 of the
+    next column, which is 0.
+    """
+    m, n = params.m, params.n
+    width = params.north_count + 1
+    flat = [0] * ((params.east_count + 1) * width)
+    flat[-1] = 1
+    for at in range(len(flat) - width - 1, -1, -1):
+        x, y = divmod(at, width)
+        if m * y >= n * x:
+            flat[at] = flat[at + 1] + flat[at + width]
+    return flat
+
+
+def _unrank(params: Params, index: int, ups: list[int]) -> str:
+    """The text of the index-th word of enumerate_dyck, where ups is
+    _completions(params)[1:]: ups[x*(dn+1) + y] counts the completions
+    after a North step from (x, y).
+
+    Walks the N<E order: the first ups[at] words from here step North.
+    Once index is 0 the rest is the smallest completion, N...NE...E.
+    """
+    width = params.north_count + 1
+    text = ""
+    at = 0  # x*width + y of the current vertex
+    while index:
+        count = ups[at]
+        if index < count:
+            text += NORTH
+            at += 1
+        else:
+            index -= count
+            text += EAST
+            at += width
+    x, y = divmod(at, width)
+    return text + NORTH * (width - 1 - y) + EAST * (params.east_count - x)
 
 
 def base_path(params: Params) -> StepWord:

@@ -32,7 +32,9 @@ path in one call, one pass over the arrows in its own line order, so
 `unsweep` looks the preimage up in a table of every Dyck path of the
 parameters, filled from the walk's image buffer with its empty slots
 removed, and `sweeplab enumerate` writes each walked path's image the same
-way; neither builds a word per path.
+way; neither builds a word per path.  A table entry holds two ints: the
+image read as binary (N is 1, E is 0) and the path's index in the walk.
+The preimage is rebuilt from its index by `paths._unrank`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,12 @@ import functools
 
 from .errors import IndexOutOfRange, NotInImage
 from .paths import (
+    EAST,
     NORTH,
     Params,
     StepWord,
+    _completions,
+    _unrank,
     _walk,
     check_step_limit,
     require_dyck,
@@ -181,39 +186,48 @@ def green_line_rank(word: StepWord, step: int) -> int:
     return green_line_ranks(word)[step - 1]
 
 
-#: How many parameter sets keep an unsweep table; the least recently used
-#: table is dropped first.
+#: How many parameter sets keep an unsweep table, about 86 bytes per path;
+#: the least recently used table is dropped first.
 INVERSE_TABLES_KEPT = 4
+
+#: Reads an image's N and E letters as the binary digits 1 and 0.
+_BITS = bytes.maketrans((NORTH + EAST).encode(), b"10")
 
 
 @functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
-def _inverse_table(params: Params) -> dict[str, str]:
-    """Each Dyck path's image text mapped to its own text: the walk's image
-    buffer read with its empty slots removed.  Text values: a StepWord value
-    would keep its cached ranks alive."""
-    return {
-        swept.translate(None, b"\0").decode(): "".join(steps)
-        for steps, _, _, swept in _walk(params)
+def _inverse_table(params: Params) -> tuple[dict[int, int], list[int]]:
+    """Each Dyck path's image code mapped to its index in the walk, with
+    the completion counts that _unrank reads, _completions(params)[1:].
+
+    The code is the int of the walk's image buffer read as binary, with its
+    empty slots removed; ints have no width limit, so it serves any length.
+    Two ints per path, and no string built or hashed."""
+    codes = {
+        int(swept.translate(_BITS, b"\0"), 2): index
+        for index, (_, _, _, swept) in enumerate(_walk(params))
     }
+    return codes, _completions(params)[1:]
 
 
 def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     """The unique Dyck preimage of a Dyck word under the sweep map.
 
-    Looked up in a table from image text to preimage text, built in one
-    pass of the enumeration walk over all Dyck paths of the parameters from
-    the walk's image buffer (see paths._walk), with no StepWord built and
-    no path sorted.  The tables of the last INVERSE_TABLES_KEPT parameter
-    sets used are cached.  The parameters must be within the enumeration
-    limit (check_step_limit), on every call, whether or not the table is
-    already cached; LimitExceeded otherwise.  Raises NotInImage
-    if the lookup fails, which cannot happen for a Dyck input unless the
-    library is inconsistent.
+    Looked up in a table from image code (the image read as binary) to the
+    preimage's enumeration index, built in one pass of the enumeration walk
+    over all Dyck paths of the parameters from the walk's image buffer (see
+    paths._walk), with no StepWord built and no path sorted; the preimage
+    text is rebuilt from its index by paths._unrank.  The tables of the
+    last INVERSE_TABLES_KEPT parameter sets used are cached.  The
+    parameters must be within the enumeration limit (check_step_limit), on
+    every call, whether or not the table is already cached; LimitExceeded
+    otherwise.  Raises NotInImage if the lookup fails, which cannot happen
+    for a Dyck input unless the library is inconsistent.
     """
     require_dyck(image)
     check_step_limit(image.params, limit)  # even on a cache hit
-    table = _inverse_table(image.params)
+    codes, ups = _inverse_table(image.params)
     try:
-        return StepWord(table[image.text], image.params)
+        index = codes[int(image.text.encode().translate(_BITS), 2)]
     except KeyError:
         raise NotInImage(f"no sweep preimage recorded for {image.text}") from None
+    return StepWord(_unrank(image.params, index, ups), image.params)

@@ -362,6 +362,12 @@ class TestSweepCommands:
         _, out = run_cli(tmp_path, "unsweep", "--m", "3", "--n", "2", "--d", "1", "NNEEE")
         assert out == b"NENEE\n"
 
+    def test_unsweep_of_more_than_64_steps(self, tmp_path):
+        # the table's image codes are ints of any width
+        word = "N" + "E" * 65
+        code, out = run_cli(tmp_path, "unsweep", "--m", "65", "--n", "1", "--limit", "66", word)
+        assert (code, out) == (0, f"{word}\n".encode())
+
     def test_unsweep_non_dyck_exits_2(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "unsweep", "--m", "3", "--n", "2", "NEENE")
         assert (code, out) == (2, b"")

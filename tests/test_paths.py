@@ -29,7 +29,13 @@ from sweeplab import (
     unsweep,
     valid_moves,
 )
-from sweeplab.paths import _walk, check_step_limit, hand_over_ranks
+from sweeplab.paths import (
+    _completions,
+    _unrank,
+    _walk,
+    check_step_limit,
+    hand_over_ranks,
+)
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck
 
 
@@ -299,6 +305,23 @@ class TestCount:
 
     def test_no_limit_on_counting(self):
         assert count_dyck(make_params(23, 21, 1)) > 0
+
+    def test_completion_table_counts_the_same_paths(self):
+        # the unsweep table's counts and count_dyck's one-row DP check each other
+        for (m, n, d) in PARAM_SETS + WIDE_SETS:
+            params = make_params(m, n, d)
+            assert _completions(params)[0] == count_dyck(params)
+
+
+class TestUnrank:
+    @pytest.mark.parametrize("m,n,d", WIDE_SETS)
+    def test_unrank_rebuilds_each_enumerated_word(self, m, n, d):
+        # unsweep keeps only an index per path, so every index, d = 2 and 3
+        # included, must give back that word of the enumeration
+        params = make_params(m, n, d)
+        ups = _completions(params)[1:]
+        for index, word in enumerate(all_dyck(m, n, d)):
+            assert _unrank(params, index, ups) == word.text
 
 
 class TestBasePath:

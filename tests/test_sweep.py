@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sweeplab import (
@@ -18,9 +20,22 @@ from sweeplab import (
     unsweep,
 )
 import sweeplab.sweeping
+from sweeplab.paths import _unrank
 from sweeplab.render import render_diagram
 from sweeplab.sweeping import sweep_key
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, arrangements
+
+
+def decoded(table, params):
+    """An unsweep table, (image codes to indices, completion counts), as
+    {image text: preimage text}: each code's binary digits read as N for 1
+    and E for 0, each index unranked."""
+    codes, ups = table
+    letters = str.maketrans("10", "NE")
+    return {
+        format(code, f"0{params.step_count}b").translate(letters): _unrank(params, index, ups)
+        for code, index in codes.items()
+    }
 
 
 class TestSweepOrder:
@@ -241,7 +256,7 @@ class TestUnsweep:
             assert unsweep(corner_path(params)) == base_path(params)
 
     def test_roundtrip(self):
-        for (m, n, d) in PARAM_SETS:
+        for (m, n, d) in WIDE_SETS:
             for word in all_dyck(m, n, d):
                 assert unsweep(sweep(word)) == word
 
@@ -262,8 +277,27 @@ class TestUnsweep:
         tables = sweeplab.sweeping._inverse_table
         tables.cache_clear()
         for (m, n, d) in WIDE_SETS:
+            params = make_params(m, n, d)
             expected = {sweep(w).text: w.text for w in all_dyck(m, n, d)}
-            assert tables(make_params(m, n, d)) == expected
+            assert decoded(tables(params), params) == expected
+
+    def test_table_stays_small(self):
+        # two ints per path: (13,8,1)'s 9,690 paths held 1.49 MiB as two
+        # strings per path, and hold 0.79 MiB this way
+        tables = sweeplab.sweeping._inverse_table
+        tables.cache_clear()
+        tracemalloc.start()
+        try:
+            tables(make_params(13, 8, 1))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
+
+    def test_unsweep_of_more_than_64_steps(self):
+        # image codes are ints of any width, so a 66-step image is no overflow
+        word = parse_word("N" + "E" * 65, make_params(65, 1))
+        assert unsweep(word, limit=66) == word
 
     def test_a_wrong_sort_disagrees_with_the_walk_table(self, monkeypatch):
         # the table is the walk's counting sort, sweep is sweep_order's
@@ -280,7 +314,7 @@ class TestUnsweep:
         monkeypatch.setattr(sweeplab.sweeping, "sweep_order", leftmost_first)
         tables.cache_clear()
         try:
-            table = tables(params)
+            table = decoded(tables(params), params)
             assert table == true_table
             assert any(
                 sweep(parse_word(preimage, params)).text != image
