@@ -14,8 +14,10 @@ exits 1; it exits 0 when all five steps match:
   forks, so a thread started before verify's fork fails this step.  The
   warning must be printed and stderr required empty: under -W error
   CPython drops the exception that the warning raises after a fork.
-- import: the records are named tuples, so importing the package and its
-  CLI adds neither dataclasses nor inspect to the modules site loaded.
+- import: a bare `import sweeplab` loads none of its submodules, which
+  load on first use; and the records are named tuples, so importing the
+  package, its CLI and verify, which loads every record module, adds
+  neither dataclasses nor inspect to the modules site loaded.
 - frontier: `scripts/frontier.py 14`, every check on every set of up to
   14 steps, ends with the pinned total line.
 - enumerate: the JSONL output of `enumerate --m 14 --n 9` is byte-stable.
@@ -33,7 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 IMPORT_CHECK = (
-    "import sys; before = set(sys.modules); import sweeplab, sweeplab.cli; "
+    "import sys; before = set(sys.modules); import sweeplab; "
+    "print(sorted(name for name in set(sys.modules) - before "
+    "if name.startswith('sweeplab.'))); "
+    "import sweeplab.cli, sweeplab.verify; "
     "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"
 )
 
@@ -52,7 +57,7 @@ STEPS = [
      ["-W", "always", "-m", "sweeplab", "verify", "--m", "5", "--n", "3", "--d", "2",
       "--jobs", "2"],
      bytes.decode, "13 checks x 525 paths: PASS\n"),
-    ("import", ["-c", IMPORT_CHECK], bytes.decode, "[]\n"),
+    ("import", ["-c", IMPORT_CHECK], bytes.decode, "[]\n[]\n"),
     ("frontier", [str(ROOT / "scripts" / "frontier.py"), "14"],
      last_line, "total: 91 sets, 2905 paths (count_dyck 2905), 0 failed"),
     ("enumerate",

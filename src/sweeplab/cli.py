@@ -21,6 +21,11 @@ enumerate, verify, table and unsweep check their input, then open --out,
 then run their pass over the enumeration (for unsweep, the build of its
 inverse table): a refused input leaves no file, and an unopenable --out
 costs no pass.
+
+Each command imports what it runs: verify loads the checks and the
+removal-move recursions, render the SVG drawing, and stats, sweep and
+unsweep the sweep map.  enumerate and table run on the enumeration walk
+alone, so they load none of these.
 """
 
 from __future__ import annotations
@@ -30,8 +35,7 @@ import contextlib
 import os
 import sys
 
-from . import paths, stats, verify
-from . import sweeping
+from . import paths, stats
 from .errors import (
     BadCounts,
     BadLetter,
@@ -147,6 +151,8 @@ def _line(fmt: str, params: paths.Params) -> str:
 
 
 def _cmd_stats(args, params) -> int:
+    from . import sweeping
+
     word = paths.parse_word(args.word, params)
     image = sweeping.sweep(word)
     # both formats call area_cells, which refuses a non-Dyck word, before any output
@@ -187,6 +193,8 @@ def _cmd_enumerate(args, params) -> int:
 
 
 def _cmd_verify(args, params) -> int:
+    from . import verify
+
     verify.check_jobs(args.jobs)  # run_checks' own input checks,
     paths.check_step_limit(params, args.limit)  # before the output is opened
     with _output(args.out) as fh:
@@ -233,12 +241,16 @@ def _cmd_render(args, params) -> int:
 
 
 def _cmd_sweep(args, params) -> int:
+    from . import sweeping
+
     word = paths.parse_word(args.word, params)
     _emit(sweeping.sweep(word).text + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_unsweep(args, params) -> int:
+    from . import sweeping
+
     word = paths.parse_word(args.word, params)
     paths.require_dyck(word)  # unsweep's own input checks,
     paths.check_step_limit(params, args.limit)  # before the output is opened

@@ -496,3 +496,46 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "13 checks x 2 paths: PASS"
+
+    # The sweeplab modules each entry point loads: `import sweeplab` alone,
+    # then `python -m sweeplab` with each command.  A command loads what it
+    # runs, so enumerate and table never compile the checks.
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], []),
+            (["enumerate", "--m", "3", "--n", "2"], ["cli", "errors", "paths", "stats"]),
+            (["table", "--m", "3", "--n", "2"], ["cli", "errors", "paths", "stats"]),
+            (["sweep", "--m", "3", "--n", "2", "NENEE"],
+             ["cli", "errors", "paths", "stats", "sweeping"]),
+            (["unsweep", "--m", "3", "--n", "2", "NENEE"],
+             ["cli", "errors", "paths", "stats", "sweeping"]),
+            (["stats", "--m", "3", "--n", "2", "NENEE"],
+             ["cli", "errors", "paths", "stats", "sweeping"]),
+            (["verify", "--m", "3", "--n", "2"],
+             ["cli", "diagram", "errors", "paths", "recursion", "stats", "sweeping",
+              "verify"]),
+        ],
+        ids=["import", "enumerate", "table", "sweep", "unsweep", "stats", "verify"],
+    )
+    def test_each_entry_point_loads_only_what_it_runs(self, argv, loaded):
+        script = (
+            "import runpy, sys\n"
+            "if sys.argv[1:]:\n"
+            "    try:\n"
+            "        runpy.run_module('sweeplab', run_name='__main__')\n"
+            "    except SystemExit as stop:\n"
+            "        assert stop.code == 0, stop.code\n"
+            "else:\n"
+            "    import sweeplab\n"
+            "print(sorted(name[9:] for name in sys.modules if name.startswith('sweeplab.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=subprocess_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == repr(loaded)

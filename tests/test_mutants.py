@@ -69,6 +69,9 @@ CHECKED_MUTANTS = [
     (recursion, "_rank_band", "column > p", "column >= p", {"rank-difference"}),
     # ties broken leftmost-first: only d > 1 has ties
     (recursion, "_rank_band", "column > p", "column < p", {"rank-difference"}),
+    # a step of start rank k - n counted in every column, not only up to
+    # column p: only d > 1 has such ties
+    (recursion, "_rank_band", "r > low", "r >= low", {"rank-difference"}),
     # a count that leaves out the rank-0 vertices, the end included
     (paths, "count_dyck", "m * y - n * x < 0", "m * y - n * x <= 0",
      {"bijectivity"}, "the pass saw 66 paths, count_dyck gives 0"),

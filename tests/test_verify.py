@@ -202,7 +202,7 @@ def test_import_does_not_load_multiprocessing():
     # render loads only for the render command; jobs > 1 forks with no
     # pool, and jobs=1 forks nothing and loads no fork machinery
     script = (
-        "import os, sys, sweeplab, sweeplab.cli\n"
+        "import os, sys, sweeplab, sweeplab.cli, sweeplab.verify\n"
         "unwanted = ('multiprocessing', 'concurrent.futures', 'sweeplab.render')\n"
         "print([name for name in unwanted if name in sys.modules])\n"
         "forks, fork = [], os.fork\n"
