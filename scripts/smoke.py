@@ -7,7 +7,7 @@ with no pytest.  Each step runs in a child of sys.executable with this
 checkout's src/ first on PYTHONPATH; it must exit 0 with nothing on
 stderr, and what is read off its stdout must equal the value pinned
 below.  The script stops at the first mismatch, reports it on stderr and
-exits 1; it exits 0 when all five steps match:
+exits 1; it exits 0 when all six steps match:
 
 - verify: `verify --m 5 --n 3 --d 2 --jobs 2` under `-W always` prints the
   PASS line.  Python 3.12 and later warn when a process with threads
@@ -24,6 +24,9 @@ exits 1; it exits 0 when all five steps match:
 - unsweep: `unsweep --m 7 --n 4 --d 2` takes the corner path to the base
   path, with the d = 2 rank ties going through the table's image buffer
   and the unrank of the preimage.
+- turnover: one interpreter unsweeps the corner paths of (7,4,2), then
+  (13,8,1), then (7,4,2) again, so the one kept table is replaced twice
+  and each set's preimage, the base path, still comes from its own table.
 """
 
 import hashlib
@@ -40,6 +43,12 @@ IMPORT_CHECK = (
     "if name.startswith('sweeplab.'))); "
     "import sweeplab.cli, sweeplab.verify; "
     "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))"
+)
+
+TURNOVER_CHECK = (
+    "from sweeplab import corner_path, make_params, unsweep\n"
+    "for m, n, d in [(7, 4, 2), (13, 8, 1), (7, 4, 2)]:\n"
+    "    print(unsweep(corner_path(make_params(m, n, d))).text)"
 )
 
 
@@ -67,6 +76,8 @@ STEPS = [
      ["-m", "sweeplab", "unsweep", "--m", "7", "--n", "4", "--d", "2",
       "NNNNNNNNEEEEEEEEEEEEEE"],
      bytes.decode, "NENEENEENEENENEENEENEE\n"),
+    ("turnover", ["-c", TURNOVER_CHECK], bytes.decode,
+     "NENEENEENEENENEENEENEE\nNENEENENEENEENENEENEE\nNENEENEENEENENEENEENEE\n"),
 ]
 
 

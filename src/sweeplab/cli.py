@@ -12,9 +12,11 @@
     sweeplab unsweep   --m M --n N [--d D] [--limit L] [--out FILE] WORD
 
 Exit codes: 0 success, 1 verification counterexample, 2 input error,
-3 enumeration limit exceeded, 4 flag misuse.  --limit, taken only by the
-commands that enumerate, overrides the default enumeration cap.  It must be
-a positive integer, and so must --jobs; anything else exits 4, as does an
+3 enumeration limit exceeded, 4 flag misuse.  A library error that no
+input explains (InvalidMove, NotInImage and the like) exits 1 too, with
+one error line and no traceback.  --limit, taken only by the commands
+that enumerate, overrides the default enumeration cap.  It must be a
+positive integer, and so must --jobs; anything else exits 4, as does an
 --out FILE that cannot be opened, or a stdout whose reader closed the pipe
 before the output was written (`sweeplab enumerate ... | head -1`).
 enumerate, verify, table and unsweep check their input, then open --out,
@@ -44,6 +46,7 @@ from .errors import (
     NonCoprime,
     NonPositive,
     NotDyck,
+    SweeplabError,
 )
 
 EXIT_OK = 0
@@ -60,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
+
+
+#: The exit code of an error that main reports in one line: that of the
+#: first entry whose types the error is an instance of, so any library
+#: error not named before the last entry exits 1.
+_EXIT_CODES = (
+    ((NonPositive, NonCoprime, BadLetter, BadCounts, NotDyck), EXIT_INPUT),
+    (LimitExceeded, EXIT_LIMIT),
+    ((IndexOutOfRange, _UsageError, ValueError), EXIT_USAGE),
+    (SweeplabError, EXIT_COUNTEREXAMPLE),
+)
 
 
 def _build_parser() -> _Parser:
@@ -285,15 +299,9 @@ def main(argv=None) -> int:
     except BrokenPipeError as exc:
         print(f"sweeplab: error: cannot write the output: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonPositive, NonCoprime, BadLetter, BadCounts, NotDyck) as exc:
+    except (SweeplabError, _UsageError, ValueError) as exc:
         print(f"sweeplab: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LimitExceeded as exc:
-        print(f"sweeplab: error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (IndexOutOfRange, _UsageError, ValueError) as exc:
-        print(f"sweeplab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 def run() -> None:

@@ -44,11 +44,7 @@ _COLORS = {NORTH: RED, EAST: BLUE}
 
 
 def build_diagram(word: StepWord) -> PathDiagram:
-    """One arrow per column: color from the letter, level from the rank.
-
-    The ranks are read first, so a letter other than N and E raises
-    BadLetter there.
-    """
+    """One arrow per column: color from the letter, level from the rank."""
     ranks = start_ranks(word)
     colors = map(_COLORS.__getitem__, word.steps)
     # tuple.__new__ builds each Arrow in C; Arrow's own __new__ is a Python call

@@ -143,8 +143,8 @@ class _StepWordFields(NamedTuple):
 class StepWord(_Checked, _StepWordFields):
     """An immutable word of North/East steps with its parameters.  `steps`
     (or `text`) is the word as one str of N and E letters, which __new__
-    counts; its lazy start ranks live in the instance __dict__, so
-    StepWord declares no __slots__."""
+    counts, a letter other than N and E refused first; its lazy start ranks
+    live in the instance __dict__, so StepWord declares no __slots__."""
 
     def __new__(cls, steps: str, params: Params):
         if type(steps) is not str:
@@ -153,11 +153,13 @@ class StepWord(_Checked, _StepWordFields):
             )
         # every word is recounted, images and swapped words too: a sweep
         # order that is no permutation is caught only here
-        norths = steps.count(NORTH)
-        if norths != params.d * params.n or len(steps) - norths != params.d * params.m:
+        norths, easts = steps.count(NORTH), steps.count(EAST)
+        if norths + easts != len(steps):
+            raise BadLetter(f"letter {steps.lstrip(NORTH + EAST)[0]!r} is not N or E")
+        if norths != params.d * params.n or easts != params.d * params.m:
             raise BadCounts(
                 f"word needs {params.north_count} N and {params.east_count} E letters, "
-                f"got {norths} N and {len(steps) - norths} E"
+                f"got {norths} N and {easts} E"
             )
         return tuple.__new__(cls, (steps, params))
 
@@ -171,17 +173,9 @@ class StepWord(_Checked, _StepWordFields):
 
     @_once
     def _ranks(self) -> tuple[int, ...]:
-        """The starting rank of each step; see start_ranks.
-
-        Each letter, the last too, is looked up, so one other than N and E
-        raises BadLetter here; __new__ counts any non-North letter as East.
-        """
+        """The starting rank of each step; see start_ranks."""
         step = {NORTH: self.params.m, EAST: -self.params.n}
-        try:
-            step[self.steps[-1]]  # adds no start rank, but is checked too
-            return tuple(accumulate(map(step.__getitem__, self.steps[:-1]), initial=0))
-        except KeyError as exc:
-            raise BadLetter(f"letter {exc.args[0]!r} is not N or E") from None
+        return tuple(accumulate(map(step.__getitem__, self.steps[:-1]), initial=0))
 
     @_once
     def _dyck(self) -> bool:

@@ -34,7 +34,9 @@ parameters, filled from the walk's image buffer with its empty slots
 removed, and `sweeplab enumerate` writes each walked path's image the same
 way; neither builds a word per path.  A table entry holds two ints: the
 image read as binary (N is 1, E is 0) and the path's index in the walk.
-The preimage is rebuilt from its index by `paths._unrank`.
+The preimage is rebuilt from its index by `paths._unrank`.  One table is
+kept, that of the last parameter set used: every caller reads one set at
+a time.
 """
 
 from __future__ import annotations
@@ -186,15 +188,11 @@ def green_line_rank(word: StepWord, step: int) -> int:
     return green_line_ranks(word)[step - 1]
 
 
-#: How many parameter sets keep an unsweep table, about 86 bytes per path;
-#: the least recently used table is dropped first.
-INVERSE_TABLES_KEPT = 4
-
 #: Reads an image's N and E letters as the binary digits 1 and 0.
 _BITS = bytes.maketrans((NORTH + EAST).encode(), b"10")
 
 
-@functools.lru_cache(maxsize=INVERSE_TABLES_KEPT)
+@functools.lru_cache(maxsize=1)
 def _inverse_table(params: Params) -> tuple[dict[int, int], list[int]]:
     """Each Dyck path's image code mapped to its index in the walk, with
     the completion counts that _unrank reads, _completions(params)[1:].
@@ -216,12 +214,13 @@ def unsweep(image: StepWord, limit: int | None = None) -> StepWord:
     preimage's enumeration index, built in one pass of the enumeration walk
     over all Dyck paths of the parameters from the walk's image buffer (see
     paths._walk), with no StepWord built and no path sorted; the preimage
-    text is rebuilt from its index by paths._unrank.  The tables of the
-    last INVERSE_TABLES_KEPT parameter sets used are cached.  The
-    parameters must be within the enumeration limit (check_step_limit), on
-    every call, whether or not the table is already cached; LimitExceeded
-    otherwise.  Raises NotInImage if the lookup fails, which cannot happen
-    for a Dyck input unless the library is inconsistent.
+    text is rebuilt from its index by paths._unrank.  The table of the
+    last parameter set used is kept, about 86 bytes per path; a call with
+    other parameters replaces it.  The parameters must be within the
+    enumeration limit (check_step_limit), on every call, whether or not
+    the table is already cached; LimitExceeded otherwise.  Raises
+    NotInImage if the lookup fails, which cannot happen for a Dyck input
+    unless the library is inconsistent.
     """
     require_dyck(image)
     check_step_limit(image.params, limit)  # even on a cache hit

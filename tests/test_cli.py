@@ -1,15 +1,17 @@
 """CLI behavior: golden outputs, exit codes, determinism, entry point."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sweeplab.recursion
 import sweeplab.stats
 import sweeplab.sweeping
 import sweeplab.verify
-from sweeplab import enumerate_dyck, make_params, run_checks
+from sweeplab import RemovalMove, enumerate_dyck, make_params, run_checks
 from sweeplab.cli import main
 from conftest import PARAM_SETS, WIDE_SETS, all_dyck, golden_bytes, subprocess_env
 
@@ -300,6 +302,40 @@ class TestBrokenKernels:
         monkeypatch.setattr(sweeplab.stats, "_walk_counts", broken)
         for args, (code, out) in zip(commands, healthy):
             assert run_cli(tmp_path, *args) != (code, out), args[0]
+
+
+class TestLibraryFaults:
+    """A library error that no input explains, raised inside a command, is
+    one error line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("jobs", [
+        "1",
+        pytest.param("2", marks=pytest.mark.skipif(not hasattr(os, "fork"),
+                                                   reason="needs os.fork")),
+    ])
+    def test_a_shifted_move_exits_1(self, jobs, tmp_path, monkeypatch, capsys):
+        # each move reported one column to the right: the first path, the
+        # corner, offers a North step at 6 whose shifted move is refused
+        true_moves = sweeplab.recursion.valid_moves
+        monkeypatch.setattr(
+            sweeplab.recursion, "valid_moves",
+            lambda word: [RemovalMove(p + 1, k) for p, k in true_moves(word)],
+        )
+        code, out = run_cli(
+            tmp_path, "verify", "--m", "5", "--n", "3", "--d", "2", "--jobs", jobs
+        )
+        assert (code, out) == (1, b"")
+        assert capsys.readouterr().err == (
+            "sweeplab: error: no North-East pair at position 7 of NNNNNNEEEEEEEEEE\n"
+        )
+
+    def test_an_empty_inverse_table_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sweeplab.sweeping, "_inverse_table", lambda params: ({}, []))
+        code, out = run_cli(tmp_path, "unsweep", "--m", "3", "--n", "2", "NNEEE")
+        assert (code, out) == (1, b"")
+        assert capsys.readouterr().err == (
+            "sweeplab: error: no sweep preimage recorded for NNEEE\n"
+        )
 
 
 class TestTableCommand:

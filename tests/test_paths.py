@@ -78,13 +78,14 @@ class TestParseWord:
         with pytest.raises(BadLetter):
             parse_word("NXNEE", p321)
 
-    @pytest.mark.parametrize("steps", ["NXNEE", "NNEEX"])
-    def test_step_word_rejects_a_letter_on_first_use(self, p321, steps):
-        # the letter counts take any non-North letter as East; the ranks,
-        # which every operation reads, look up each letter, the last too
-        word = StepWord(steps, p321)
-        with pytest.raises(BadLetter):
-            start_ranks(word)
+    @pytest.mark.parametrize("steps", ["NXNEE", "NNEEX", "NXNEEE"])
+    def test_step_word_rejects_a_letter_when_built(self, p321, steps):
+        # the letters are counted as N and E, and a count that falls short
+        # of the length names the first other letter, the last too, and
+        # before the counts are checked
+        with pytest.raises(BadLetter) as exc:
+            StepWord(steps, p321)
+        assert str(exc.value) == "letter 'X' is not N or E"
 
     def test_step_word_needs_a_str(self, p321):
         # a tuple or a list would pass the letter counts but never equal the
@@ -110,7 +111,7 @@ class TestParseWord:
             parse_word("NXNEE", p321)
         assert str(exc.value) == "letter 'X' is not one of N, E, S, W"
         with pytest.raises(BadLetter) as exc:
-            start_ranks(StepWord("NXNEE", p321))
+            StepWord("NXNEE", p321)
         assert str(exc.value) == "letter 'X' is not N or E"
 
 

@@ -62,7 +62,7 @@ def test_smoke():
     # the CI smoke job runs the same script on 3.10, 3.12 and 3.13
     out = run_script("smoke.py").splitlines()
     assert out[1:] == ["verify: ok", "import: ok", "frontier: ok", "enumerate: ok",
-                       "unsweep: ok"]
+                       "unsweep: ok", "turnover: ok"]
 
 
 def test_smoke_exits_1_at_the_first_mismatch(tmp_path):

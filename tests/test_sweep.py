@@ -324,15 +324,28 @@ class TestUnsweep:
             tables.cache_clear()  # built under the fault, so not kept
 
     def test_cache_is_bounded(self):
-        kept = sweeplab.sweeping.INVERSE_TABLES_KEPT
+        # one table, the latest set's: it hits, and the set before it misses
         tables = sweeplab.sweeping._inverse_table
-        for (m, n, d) in PARAM_SETS[: kept + 2]:
+        for (m, n, d) in PARAM_SETS[:3]:
             params = make_params(m, n, d)
             assert unsweep(corner_path(params)) == base_path(params)
-        assert tables.cache_info().currsize <= kept
-        # the least recently used set was dropped, the latest one is kept
+        assert tables.cache_info().currsize == 1
         misses = tables.cache_info().misses
-        unsweep(corner_path(make_params(*PARAM_SETS[kept + 1])))
+        unsweep(corner_path(make_params(*PARAM_SETS[2])))
         assert tables.cache_info().misses == misses
-        unsweep(corner_path(make_params(*PARAM_SETS[0])))
+        unsweep(corner_path(make_params(*PARAM_SETS[1])))
         assert tables.cache_info().misses == misses + 1
+
+    def test_one_table_is_held(self):
+        # three sets in turn: four kept tables held all three, 2.81 MiB, and
+        # one holds the last set's, 0.66 MiB
+        sweeplab.sweeping._inverse_table.cache_clear()
+        tracemalloc.start()
+        try:
+            for (m, n, d) in [(13, 8, 1), (7, 4, 2), (3, 2, 4)]:
+                params = make_params(m, n, d)
+                assert unsweep(corner_path(params)) == base_path(params)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
