@@ -11,8 +11,9 @@ point epsilon is ever used.
 `recursion.reduce_to_base`.  The order has two realizations.  For one
 word, `sweep_order` is one stable sort of the columns, listed right to
 left, by the word's cached start ranks: equal ranks keep their input
-order, rightmost first, so no key is built.  `sweep` reads it, and so
-does `verify`, once per word, to file each image rank under its column.
+order, rightmost first, so no key is built.  The sort runs once per word
+and is kept with the word, beside its start ranks; `sweep` reads it, and
+so does `verify`, to file each image rank under its column.
 Along the enumeration walk, `paths._walk` keeps each path's image as a
 counting sort instead, in a buffer of one slot per (rank, tie) pair that
 it updates only where the path changed, so `unsweep` and `sweeplab
@@ -73,10 +74,15 @@ def sweep_order(word: StepWord) -> tuple[int, ...]:
 
     One stable sort of the columns, right to left, by start rank: columns
     of equal rank keep their input order, rightmost first, which is the
-    order of sweep_key.
+    order of sweep_key.  The sort runs once per word: its tuple is kept in
+    the word's __dict__, beside the word's start ranks, and read back on
+    every later call.
     """
-    by_column = (None, *start_ranks(word))
-    return tuple(sorted(range(len(word), 0, -1), key=by_column.__getitem__))
+    kept = word.__dict__
+    if "_sweep_order" not in kept:
+        rank_of = (None, *start_ranks(word)).__getitem__
+        kept["_sweep_order"] = tuple(sorted(range(len(word), 0, -1), key=rank_of))
+    return kept["_sweep_order"]
 
 
 def sweep(word: StepWord) -> StepWord:

@@ -21,8 +21,11 @@ path or first as the swapped word of another path's removal move, and
 keeps them, but not the image word, until the path is reached; so each
 word is swept and counted once per run (per worker with jobs > 1), and
 the green-line rule and the rank difference read their image ranks off
-it.  A swapped word whose image is not Dyck fails the area recursion of
-that move.  Each move is checked and swapped once.
+it.  The image and the image ranks per column come from one sort: the
+word's sweep order is sorted once and kept with the word, so `sweep` and
+the helper's own `sweep_order` call read the same tuple.  A swapped word
+whose image is not Dyck fails the area recursion of that move.  Each
+move is checked and swapped once.
 
 The pass is split into contiguous ranges of the enumeration, one per
 worker, with no process pool: the calling process forks a child for each
@@ -303,20 +306,19 @@ def _bijectivity_failures(pairs) -> list[str]:
 
 
 def _base_case_failures(params, zero_area) -> list[str]:
-    """zero_area: the text of every area-0 path, in enumeration order."""
-    fails = []
+    """zero_area: the text of every area-0 path, in enumeration order.
+    Each value compared is computed once, and a failure reports it."""
     base = paths.base_path(params)
     corner = paths.corner_path(params)
     top = stats.max_stat(params)
-    if zero_area != [base.text]:
-        fails.append(f"area-0 paths {zero_area} instead of [{base.text}]")
-    if stats.dinv_pairs(base) != top:
-        fails.append(f"dinv(base)={stats.dinv_pairs(base)} max={top}")
-    if stats.area_cells(corner) != top:
-        fails.append(f"area(corner)={stats.area_cells(corner)} max={top}")
-    if sweeping.sweep(base) != corner:
-        fails.append(f"sweep(base)={sweeping.sweep(base).text} corner={corner.text}")
-    return fails
+    dinv, area, image = stats.dinv_pairs(base), stats.area_cells(corner), sweeping.sweep(base)
+    checks = [
+        (zero_area != [base.text], f"area-0 paths {zero_area} instead of [{base.text}]"),
+        (dinv != top, f"dinv(base)={dinv} max={top}"),
+        (area != top, f"area(corner)={area} max={top}"),
+        (image != corner, f"sweep(base)={image.text} corner={corner.text}"),
+    ]
+    return [message for failed, message in checks if failed]
 
 
 def run_checks(params, limit: int | None = None, jobs: int = 1) -> list[CheckResult]:

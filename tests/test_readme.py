@@ -40,7 +40,7 @@ SCRIPT_LINES = [
 def test_the_examples_are_found():
     assert len(COMMAND_LINES) == 7
     assert len(_blocks("python")) == 1
-    assert len(SCRIPT_LINES) == 4
+    assert len(SCRIPT_LINES) == 2
 
 
 def test_python_block_runs():
@@ -57,7 +57,6 @@ def test_command_line_exits_0(line, tmp_path, monkeypatch, capsys):
     "line", SCRIPT_LINES, ids=lambda line: shlex.split(line, comments=True)[1]
 )
 def test_script_line_exits_0(line, tmp_path):
-    # run from tmp_path, where `render_gallery.py out` writes its figures
     _, script, *args = shlex.split(line, comments=True)
     proc = subprocess.run(
         [sys.executable, str(ROOT / script), *args],

@@ -156,6 +156,16 @@ def test_every_pickle_protocol_keeps_a_words_ranks(protocol):
     assert copy.__dict__["_ranks"] == word.__dict__["_ranks"]
 
 
+def test_a_pickled_swept_word_keeps_its_sweep():
+    # the sweep order kept in the word's __dict__ travels with it
+    word = parse_word("NNEE", make_params(1, 1, 2))  # a rank tie
+    image = sweep(word)
+    copy = pickle.loads(pickle.dumps(word))
+    assert copy == word
+    assert copy.__dict__["_sweep_order"] == word.__dict__["_sweep_order"]
+    assert sweep(copy) == image
+
+
 def test_len_of_a_word_is_its_step_count():
     word = parse_word("NNENEEE", make_params(4, 3))
     assert len(word) == len(word.steps) == 7

@@ -18,6 +18,7 @@ from sweeplab import (
     corner_path,
     dinv_recursion_delta,
     make_params,
+    max_stat,
     parse_word,
     run_checks,
     start_ranks,
@@ -249,9 +250,9 @@ def _counted_calls(monkeypatch, *functions):
     for module, name in functions:
         true_fn = getattr(module, name)
 
-        def counted(*args, true_fn=true_fn, name=name):
+        def counted(*args, true_fn=true_fn, name=name, **kwargs):
             calls[name] += 1
-            return true_fn(*args)
+            return true_fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
@@ -277,18 +278,65 @@ def test_each_path_is_swept_and_its_area_counted_once(monkeypatch):
     assert calls["dinv_pairs"] == 67
 
 
-def test_no_move_sorts_its_swapped_word(monkeypatch):
-    # each word is put in sweep order once by sweep and once to file its
-    # image ranks by column, which both rank checks read; the moves read
-    # those of their swapped words, so 144 moves add no call
+def test_a_failing_base_case_reuses_its_statistics(monkeypatch):
+    # the base case reports the values it compared: dinv(base), area(corner)
+    # and sweep(base) are computed once each, failing or not
+    params = make_params(7, 5, 1)
+    base, corner, top = base_path(params), corner_path(params), max_stat(params)
+    true_dinv, true_area = sweeplab.stats.dinv_pairs, sweeplab.stats.area_cells
+    true_sweep = sweeplab.sweeping.sweep
+    monkeypatch.setattr(sweeplab.stats, "dinv_pairs", lambda word: true_dinv(word) + 1)
+    monkeypatch.setattr(sweeplab.stats, "area_cells", lambda word: true_area(word) + 1)
+    monkeypatch.setattr(sweeplab.sweeping, "sweep",
+                        lambda word: word if word == base else true_sweep(word))
     calls = _counted_calls(
-        monkeypatch, (sweeplab.sweeping, "sweep_order"), (sweeplab.sweeping, "sweep")
+        monkeypatch,
+        (sweeplab.sweeping, "sweep"),
+        (sweeplab.stats, "area_cells"),
+        (sweeplab.stats, "dinv_pairs"),
     )
-    assert all(r.passed for r in run_checks(make_params(7, 5, 1)))
+    results = {r.name: r for r in run_checks(params)}
+    assert results["base-case"].failures == (
+        f"area-0 paths [] instead of [{base.text}]",
+        f"dinv(base)={top + 1} max={top}",
+        f"area(corner)={top + 1} max={top}",
+        f"sweep(base)={base.text} corner={corner.text}",
+    )
+    # the healthy counts of test_each_path_is_swept_and_its_area_counted_once
+    assert calls == {"sweep": 67, "area_cells": 133, "dinv_pairs": 67}
+
+
+def test_no_move_sorts_its_swapped_word(monkeypatch):
+    # each word is put in sweep order by sweep and again to file its image
+    # ranks by column, which both rank checks read; the moves read those of
+    # their swapped words, so 144 moves add no call
+    # a module global `sorted` shadows the builtin in sweeping, to count it
+    monkeypatch.setattr(sweeplab.sweeping, "sorted", sorted, raising=False)
+    calls = _counted_calls(
+        monkeypatch,
+        (sweeplab.sweeping, "sweep_order"),
+        (sweeplab.sweeping, "sweep"),
+        (sweeplab.sweeping, "green_line_ranks"),
+        (sweeplab.sweeping, "sorted"),
+    )
+
+    def sorts(params):
+        """Sorts into sweep order in one run: green_line_ranks sorts once
+        per path, and every other sort in sweeping is sweep_order's."""
+        calls.clear()
+        assert all(r.passed for r in run_checks(params))
+        return calls["sorted"] - calls["green_line_ranks"]
+
     # 66 paths, each swept whether first met as a path or as a swapped
-    # word, and the base path of the base case
+    # word, and the base path of the base case; sweep_order keeps each
+    # word's order with the word, so its second call sorts nothing
+    assert sorts(make_params(7, 5, 1)) == 66 + 1
     assert calls["sweep"] == 67
     assert calls["sweep_order"] == 2 * 66 + 1
+    # a second run builds fresh words and sorts each again
+    assert sorts(make_params(7, 5, 1)) == 66 + 1
+    assert sorts(make_params(11, 7, 1)) == 1768 + 1
+    assert calls["sweep_order"] == 2 * 1768 + 1
 
 
 def test_ranks_are_computed_only_for_new_words(monkeypatch):
@@ -307,6 +355,23 @@ def test_ranks_are_computed_only_for_new_words(monkeypatch):
     # the 66 paths and their 144 swapped words are handed their ranks:
     # only the 66 images, the base path and the corner path compute theirs
     assert len(computed) == 68
+
+
+def test_a_swept_word_keeps_its_sweep_order(monkeypatch):
+    # like its start ranks, a word's sweep order is computed once and kept
+    # with the word: a sweep_order mutant patched in afterwards reads the
+    # order the word already holds, and only words built after the patch
+    # are sorted by it.  The mutant catalogue is unaffected: run_checks
+    # sweeps only words it builds itself (the enumerated paths, their
+    # swapped words and the base path), never one swept before the patch.
+    params = make_params(1, 1, 2)
+    swept = parse_word("NNEE", params)
+    assert sweeplab.sweeping.sweep(swept).text == "NENE"  # a rank tie
+    mutant = rebuilt(sweeplab.sweeping, "sweep_order",
+                     "range(len(word), 0, -1)", "range(1, len(word) + 1)")
+    monkeypatch.setattr(sweeplab.sweeping, "sweep_order", mutant)
+    assert sweeplab.sweeping.sweep(swept).text == "NENE"
+    assert sweeplab.sweeping.sweep(parse_word("NNEE", params)).text == "NNEE"
 
 
 def test_each_move_builds_one_swapped_word(monkeypatch):
