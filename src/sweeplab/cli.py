@@ -285,13 +285,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"sweeplab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         params = paths.make_params(args.m, args.n, args.d)
         code = _COMMANDS[args.command](args, params)
         sys.stdout.flush()  # a closed pipe shows here at the latest

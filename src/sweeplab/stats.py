@@ -180,9 +180,6 @@ class StatTable(NamedTuple):
     params: Params
     counts: Mapping[tuple[int, int], int]
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def _marginal(self, axis: int) -> dict[int, int]:
         """Counts summed over the other statistic: axis 0 is area, 1 dinv."""
         out: dict[int, int] = {}

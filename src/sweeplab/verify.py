@@ -5,7 +5,10 @@ removal move of every path) and record counterexamples.  The headline
 check is that dinv of a path equals the area of its sweep image; the
 others cover the bijectivity of the sweep, the diagram row structure,
 both statistic formulations, the green-line rank rule, the removal-move
-recursions and their cross-identities, and the base case.
+recursions and their cross-identities, and the base case.  One helper in
+_word_failures forms each per-path counterexample: `word=<text>`, then one
+`label=value` per value it reports, separated by spaces; bijectivity and
+the base case, which are not per path, word their own.
 
 Statistic and sweep functions are resolved through their modules at call
 time, so a deliberately broken implementation (a test monkeypatch, say)
@@ -90,6 +93,11 @@ def _word_failures(words):
                 image.text, stats.dinv_pairs(word), image_area, tuple(by_column))
         return known
 
+    def fail(check, word, **values):
+        """Record a counterexample to `check`: word=<text>, then " label=value"
+        for each keyword, in call order."""
+        fails[check].append(f"word={word.text}" + "".join(f" {k}={v}" for k, v in values.items()))
+
     for word in words:
         # counted and recorded before the image check, which skips the rest
         # of the word
@@ -102,40 +110,33 @@ def _word_failures(words):
         if area == 0:
             zero_area.append(word.text)
         if image_area is None:
-            fails["image-is-dyck"].append(f"word={word.text} image={image}")
+            fail("image-is-dyck", word, image=image)
             continue
 
         if dinv != image_area:
-            fails["dinv-sweeps-to-area"].append(
-                f"word={word.text} dinv={dinv} image={image} area={image_area}",
-            )
+            fail("dinv-sweeps-to-area", word, dinv=dinv, image=image, area=image_area)
         try:
             area_formula = stats.area_rank_formula(word)
         except NonIntegral:  # a rank sum off the congruence: no area equals it
             area_formula = "undefined"
         if area != area_formula:
-            fails["area-formula"].append(
-                f"word={word.text} cells={area} formula={area_formula}"
-            )
+            fail("area-formula", word, cells=area, formula=area_formula)
         dinv_cells = stats.dinv_cells(word)
         if dinv_cells != dinv:
-            fails["dinv-formulations"].append(
-                f"word={word.text} cells={dinv_cells} pairs={dinv}"
-            )
+            fail("dinv-formulations", word, cells=dinv_cells, pairs=dinv)
         if not diagram.check_row_structure(diagram.build_diagram(word)):
-            fails["row-structure"].append(f"word={word.text}")
+            fail("row-structure", word)
 
         line_ranks = sweeping.green_line_ranks(word)
         if line_ranks != by_column:  # the first mismatch in sweep order
             for step in sweeping.sweep_order(word):
                 counted, rank = line_ranks[step - 1], by_column[step - 1]
                 if counted != rank:
-                    fails["green-line-rank"].append(
-                        f"word={word.text} step={step} counted={counted} rank={rank}")
+                    fail("green-line-rank", word, step=step, counted=counted, rank=rank)
                     break
 
         if area > 0 and not moves:
-            fails["move-existence"].append(f"word={word.text} area={area}")
+            fail("move-existence", word, area=area)
         for move in moves:
             p, k = recursion._check_move(word, move)
             swapped = recursion._apply_move(word, p, k)
@@ -145,20 +146,18 @@ def _word_failures(words):
             direct_area = ("undefined" if swapped_image_area is None
                            else image_area - swapped_image_area)
             if counts.area_delta != direct_area:
-                fails["area-recursion"].append(
-                    f"word={word.text} p={p} delta={counts.area_delta} direct={direct_area}")
+                fail("area-recursion", word, p=p, delta=counts.area_delta, direct=direct_area)
             direct_dinv = dinv - swapped_dinv
             if counts.dinv_delta != direct_dinv:
-                fails["dinv-recursion"].append(
-                    f"word={word.text} p={p} delta={counts.dinv_delta} direct={direct_dinv}")
+                fail("dinv-recursion", word, p=p, delta=counts.dinv_delta, direct=direct_dinv)
             # rank(S) at column p less rank(S') at column p + 1
             if by_column[p - 1] - swapped_by_column[p] != recursion._rank_band(word, p, k):
-                fails["rank-difference"].append(f"word={word.text} p={p}")
+                fail("rank-difference", word, p=p)
             if (
                 counts.red_top_left != counts.blue_top_left
                 or counts.blue_bottom_right != counts.red_bottom_right + 1
             ):
-                fails["cross-identities"].append(f"word={word.text} p={p}")
+                fail("cross-identities", word, p=p)
     return fails, move_total, pairs, zero_area
 
 

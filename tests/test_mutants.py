@@ -41,31 +41,39 @@ from conftest import rebuilt
 SETS = [(7, 5, 1), (5, 3, 2), (3, 2, 3), (2, 1, 4)]
 
 # (module, function, text, its replacement, the checks that must fail[, a
-# message one of them must record])
+# message one of them must record]).  Between them the messages pin the exact
+# text of every per-path check but image-is-dyck and row-structure, which no
+# entry fails; test_verify pins those two.
 CHECKED_MUTANTS = [
     (stats, "dinv_pairs", "bisect_left(seen, rank)", "bisect_right(seen, rank)",
-     {"dinv-formulations", "dinv-recursion", "dinv-sweeps-to-area"}),
+     {"dinv-formulations", "dinv-recursion", "dinv-sweeps-to-area"},
+     "word=NNENNNEEEENEEEEE dinv=3 image=NENENENEENEEENEE area=4"),
     (stats, "dinv_pairs", "bisect_left(seen, rank + width)",
      "bisect_right(seen, rank + width)",
-     {"dinv-formulations", "dinv-recursion", "dinv-sweeps-to-area"}),
+     {"dinv-formulations", "dinv-recursion", "dinv-sweeps-to-area"},
+     "word=NNNENNEEEEENEEEE cells=3 pairs=4"),
     (stats, "dinv_cell_list", "n * arm < m * (leg + 1)", "n * arm <= m * (leg + 1)",
      {"dinv-formulations"}),
     (stats, "dinv_cell_list", "m * leg <= n * (arm + 1)", "m * leg < n * (arm + 1)",
      {"dinv-formulations"}),
     (sweeping, "sweep_order", "range(len(word), 0, -1)", "range(1, len(word) + 1)",
-     {"green-line-rank", "bijectivity", "area-recursion", "dinv-sweeps-to-area"}),
+     {"green-line-rank", "bijectivity", "area-recursion", "dinv-sweeps-to-area"},
+     "word=NNNNNNEEEEEEEEEE step=4 counted=0 rank=3"),
     (stats, "area_cells", "m * y // n - x", "(m * y - 1) // n - x",
-     {"area-formula", "base-case", "dinv-sweeps-to-area"}),
-    (recursion, "valid_moves", "r >= n", "r > n", {"move-existence"}),
+     {"area-formula", "base-case", "dinv-sweeps-to-area"},
+     "word=NNNNNEEEEEEE cells=11 formula=12"),
+    (recursion, "valid_moves", "r >= n", "r > n", {"move-existence"},
+     "word=NENEENENEENEENEE area=1"),
     (recursion, "_region_counts", "k <= r < k + m", "k < r < k + m",
-     {"area-recursion", "cross-identities"}),
+     {"area-recursion", "cross-identities"}, "word=NNNNNEEEEENEEEEE p=11"),
     (recursion, "_region_counts", "k - n < r <= k", "k - n <= r <= k",
-     {"area-recursion", "cross-identities"}),
+     {"area-recursion", "cross-identities"}, "word=NNNNENNEEEEEEEEE p=4 delta=-1 direct=0"),
     (recursion, "_region_counts", "k < r <= k + m", "k <= r <= k + m",
-     {"area-recursion", "dinv-recursion"}),
+     {"area-recursion", "dinv-recursion"}, "word=NNNENNEEEENEEEEE p=3 delta=1 direct=0"),
     # rank(S) and rank(S') are read off the sweep images, so a wrong bound
     # in the band's comparator no longer cancels out
-    (recursion, "_rank_band", "r < k", "r <= k", {"rank-difference"}),
+    (recursion, "_rank_band", "r < k", "r <= k", {"rank-difference"},
+     "word=NNNNNEEEEEEE p=5"),
     (recursion, "_rank_band", "column > p", "column >= p", {"rank-difference"}),
     # ties broken leftmost-first: only d > 1 has ties
     (recursion, "_rank_band", "column > p", "column < p", {"rank-difference"}),
@@ -95,6 +103,7 @@ def test_run_checks_fail_the_mutant(monkeypatch, entry):
         for result in run_checks(make_params(*params)):
             if not result.passed:
                 failed.add(result.name)
+            if result.name in checks:
                 messages.update(result.failures)
     assert checks <= failed
     assert set(message) <= messages

@@ -238,6 +238,7 @@ def test_checked_volumes(p321, monkeypatch):
     monkeypatch.setattr(sweeplab.sweeping, "sweep", lambda word: not_dyck)
     results = {r.name: r for r in run_checks(p321)}
     assert len(results["image-is-dyck"].failures) == 2
+    assert results["image-is-dyck"].failures[0] == "word=NNEEE image=ENNEE"
     for name in ("rank-difference", "area-recursion", "dinv-recursion",
                  "cross-identities", "green-line-rank"):
         assert results[name].checked == by_name[name]
@@ -459,6 +460,7 @@ def test_non_dyck_image_of_a_swapped_word_is_recorded(monkeypatch, capsys):
     by_name = {r.name: r for r in results}
     assert not by_name["image-is-dyck"].passed
     assert any(f.endswith(" direct=undefined") for f in by_name["area-recursion"].failures)
+    assert "word=NNNEEEEE p=3 delta=-1 direct=undefined" in by_name["area-recursion"].failures
     assert run_checks(params, jobs=2) == results
     # a counterexample, not an input error
     assert main(["verify", "--m", "5", "--n", "3"]) == 1
@@ -651,6 +653,7 @@ def test_a_rank_sum_off_the_congruence_is_recorded(monkeypatch, capsys):
     formula = by_name["area-formula"]
     assert len(formula.failures) == formula.checked == len(all_dyck(7, 5, 1))
     assert all(f.endswith(" formula=undefined") for f in formula.failures)
+    assert formula.failures[0] == "word=NNNNNEEEEEEE cells=12 formula=undefined"
     assert all(r.passed for name, r in by_name.items() if name != "area-formula")
     assert run_checks(params, jobs=2) == results
     assert main(["verify", "--m", "7", "--n", "5"]) == 1
